@@ -56,13 +56,13 @@ void BM_CalendarQueuePostDispatch(benchmark::State& state) {
   std::vector<Time> delay(256);
   for (Time& d : delay) d = 1 + rng.uniform(0, kHops - 1);
   for (std::size_t i = 0; i < pending; ++i) {
-    q.push(Event{delay[i % delay.size()], seq++, 0, msg, {}});
+    q.push(Event{delay[i % delay.size()], seq++, 0, 0, msg, {}});
   }
   std::uint64_t dispatched = 0;
   for (auto _ : state) {
     Event e = q.pop();
     benchmark::DoNotOptimize(e.msg);
-    q.push(Event{e.time + delay[seq % delay.size()], seq, 0, msg, {}});
+    q.push(Event{e.time + delay[seq % delay.size()], seq, 0, 0, msg, {}});
     ++seq;
     ++dispatched;
   }

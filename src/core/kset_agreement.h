@@ -36,9 +36,12 @@ namespace saf::core {
 /// The paper's bottom value.
 inline constexpr std::int64_t kNoValue = INT64_MIN;
 
+// Phase messages put their two ints first: they pack right after the
+// 16-byte Message header, which keeps the copies KSetCore buffers per
+// round as small as the payload allows.
 struct Phase1Msg final : sim::Message {
   Phase1Msg(int r, ProcSet l, std::int64_t e, int inst = 0)
-      : round(r), leaders(l), est(e), instance(inst) {}
+      : round(r), instance(inst), leaders(l), est(e) {}
   std::string_view tag() const override { return "phase1"; }
   const Message* corrupted(util::Arena& arena,
                            util::Rng& rng) const override;
@@ -50,14 +53,14 @@ struct Phase1Msg final : sim::Message {
     d.mix_i64(instance);
   }
   int round;
+  int instance;  ///< repeated-agreement instance (0 for one-shot use)
   ProcSet leaders;  ///< L_i — the sender's leader set this round
   std::int64_t est;
-  int instance;  ///< repeated-agreement instance (0 for one-shot use)
 };
 
 struct Phase2Msg final : sim::Message {
   Phase2Msg(int r, std::int64_t a, int inst = 0)
-      : round(r), aux(a), instance(inst) {}
+      : round(r), instance(inst), aux(a) {}
   std::string_view tag() const override { return "phase2"; }
   const Message* corrupted(util::Arena& arena,
                            util::Rng& rng) const override;
@@ -68,8 +71,8 @@ struct Phase2Msg final : sim::Message {
     d.mix_i64(instance);
   }
   int round;
-  std::int64_t aux;  ///< kNoValue encodes bottom
   int instance;
+  std::int64_t aux;  ///< kNoValue encodes bottom
 };
 
 struct DecisionMsg final : sim::Message {
@@ -107,6 +110,9 @@ class KSetCore {
   bool on_rdeliver(const sim::Message& m);
 
   bool decided() const { return decided_; }
+  /// True once main() has returned: no task or wait predicate refers
+  /// to this core any more, so its host may destroy it.
+  bool main_finished() const { return main_finished_; }
   std::int64_t decision() const { return decision_; }
   Time decision_time() const { return decision_time_; }
   /// Round the host was in when it decided (1-based).
@@ -143,6 +149,9 @@ class KSetCore {
   std::map<int, std::vector<Phase1Msg>> phase1_;
   std::map<int, std::vector<Phase2Msg>> phase2_;
   bool decided_ = false;
+  /// Not folded by state_digest(): the host's waiter multiset already
+  /// tells a finished main() from a suspended one.
+  bool main_finished_ = false;
   std::int64_t decision_ = kNoValue;
   Time decision_time_ = kNeverTime;
   int decision_round_ = 0;

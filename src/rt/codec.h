@@ -29,8 +29,9 @@ namespace saf::rt {
 bool encode_message(const sim::Message& m, std::vector<std::uint8_t>* out);
 
 /// Rebuilds a message from `data` into `arena` (the owning simulator's
-/// per-run arena, so decoded messages have the same lifetime as locally
-/// created ones). Returns nullptr on any malformed input.
+/// current message-arena generation, so decoded messages have the same
+/// lifetime as locally created ones). Returns nullptr on any malformed
+/// input.
 const sim::Message* decode_message(const std::uint8_t* data, std::size_t len,
                                    util::Arena& arena);
 

@@ -57,6 +57,9 @@ struct Event {
   Time time = 0;
   std::uint64_t seq = 0;
   ProcessId to = -1;             ///< recipient, or kBroadcastRecipient
+  /// Delivery events: the message's oldest_generation() when scheduled,
+  /// the arena generation this event keeps alive (sim/message.h).
+  std::uint32_t gen = 0;
   const Message* msg = nullptr;  ///< non-null => delivery event
   std::function<void()> fn;      ///< closure event otherwise
   EventKind kind = EventKind::kClosure;  ///< closure digest tag

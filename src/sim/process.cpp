@@ -48,15 +48,17 @@ void Process::spawn(ProtocolTask task) {
   // tasks_, so no reference into the vector may live across resume().
   const auto h = task.handle();
   tasks_.push_back(std::move(task));
-  h.resume();
-  for (const ProtocolTask& t : tasks_) {
-    t.rethrow_if_failed();
-  }
+  resume_handle(h);
 }
 
 util::Arena& Process::arena() {
   SAF_CHECK(sim_ != nullptr);
   return sim_->arena();
+}
+
+util::Arena& Process::permanent_arena() {
+  SAF_CHECK(sim_ != nullptr);
+  return sim_->permanent_arena();
 }
 
 trace::Tracer& Process::tracer() {
@@ -105,6 +107,10 @@ void Process::resume_handle(std::coroutine_handle<> h) {
   for (const ProtocolTask& t : tasks_) {
     t.rethrow_if_failed();
   }
+  // Reap: a finished task has no waiter left and nothing resumes it
+  // again, so dropping it keeps every later wake O(live tasks) instead
+  // of O(tasks ever spawned). A failed task threw above and stays.
+  std::erase_if(tasks_, [](const ProtocolTask& t) { return t.done(); });
 }
 
 void Process::wake_token(std::uint64_t token) {

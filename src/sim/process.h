@@ -49,6 +49,10 @@ class Process {
   int n() const { return n_; }
   int t() const { return t_; }
 
+  /// Number of spawned tasks that have not finished. Finished tasks are
+  /// reaped right after the resume that completed them.
+  std::size_t live_tasks() const { return tasks_.size(); }
+
   /// Spawns the process's tasks at time 0. The default boots run().
   virtual void boot() { spawn(run()); }
 
@@ -82,7 +86,7 @@ class Process {
   trace::Tracer& tracer();
 
   /// Sends a protocol message point-to-point. The payload is moved into
-  /// the simulator's per-run arena (one bump allocation, no refcounting).
+  /// the simulator's message arena (one bump allocation, no refcounting).
   template <typename M>
   void send_to(ProcessId to, M msg) {
     send_raw(to, stamp(arena().create<M>(std::move(msg))));
@@ -96,14 +100,15 @@ class Process {
 
   /// Broadcast of a payload-free message type M (heartbeats, inquiries,
   /// alive-pings — the protocols' small fixed vocabulary). The instance
-  /// is interned: created once per (process, type) and reused for every
-  /// subsequent broadcast, so steady-state chatter allocates nothing.
+  /// is interned: created once per (process, type) in the simulator's
+  /// permanent arena and reused for every subsequent broadcast, so
+  /// steady-state chatter allocates nothing.
   template <typename M>
   void broadcast_interned() {
     static_assert(std::is_default_constructible_v<M>,
                   "interned messages carry no payload");
     broadcast_raw(interned_instance(typeid(M), [this] {
-      return stamp(arena().create<M>());
+      return stamp(permanent_arena().create<M>());
     }));
   }
 
@@ -146,11 +151,12 @@ class Process {
   [[nodiscard]] SleepAwaiter sleep_for(Time d) { return SleepAwaiter{this, d}; }
 
  protected:
-  /// Starts an additional task (call from boot()).
+  /// Starts an additional task (call from boot(), or from a running
+  /// task). The process owns it until it finishes.
   void spawn(ProtocolTask task);
 
-  /// The owning simulator's per-run message arena. Only valid once the
-  /// process has been added to a Simulator.
+  /// The owning simulator's current message-arena generation. Only
+  /// valid once the process has been added to a Simulator.
   util::Arena& arena();
 
  private:
@@ -163,6 +169,7 @@ class Process {
     std::uint64_t token = 0;
   };
 
+  util::Arena& permanent_arena();
   void attach(Simulator* sim);
   void start();
   /// Folds the engine-owned per-process state (started flag, waiter

@@ -40,10 +40,59 @@ void RbLayer::rbroadcast(const Message* m) {
   if (acks_enabled_) track(env);
 }
 
+bool RbSeenSet::insert(ProcessId origin, std::uint64_t seq) {
+  SAF_CHECK(origin >= 0);
+  const auto o = static_cast<std::size_t>(origin);
+  if (o >= floors_.size()) floors_.resize(o + 1, 0);
+  std::uint64_t& lowest_unseen = floors_[o];
+  if (seq < lowest_unseen) return false;
+  if (seq > lowest_unseen) return above_.emplace(origin, seq).second;
+  ++lowest_unseen;
+  for (auto it = above_.find({origin, lowest_unseen}); it != above_.end();
+       it = above_.find({origin, lowest_unseen})) {
+    above_.erase(it);
+    ++lowest_unseen;
+  }
+  return true;
+}
+
+std::uint64_t RbSeenSet::floor(ProcessId origin) const {
+  const auto o = static_cast<std::size_t>(origin);
+  return origin < 0 || o >= floors_.size() ? 0 : floors_[o];
+}
+
+std::uint64_t RbSeenSet::size() const {
+  std::uint64_t total = above_.size();
+  for (const std::uint64_t f : floors_) total += f;
+  return total;
+}
+
+void RbSeenSet::digest(StateDigest& d) const {
+  std::vector<std::uint64_t> keys;
+  keys.reserve(size());
+  const auto key = [&](ProcessId origin, std::uint64_t seq) {
+    StateDigest kd(d.perm());
+    kd.mix_id(origin);
+    kd.mix_u64(seq);
+    keys.push_back(kd.value());
+  };
+  for (std::size_t o = 0; o < floors_.size(); ++o) {
+    for (std::uint64_t seq = 0; seq < floors_[o]; ++seq) {
+      key(static_cast<ProcessId>(o), seq);
+    }
+  }
+  for (const auto& [origin, seq] : above_) key(origin, seq);
+  std::sort(keys.begin(), keys.end());
+  d.mix_u64(keys.size());
+  for (const std::uint64_t v : keys) d.mix_u64(v);
+}
+
 void RbLayer::track(const RbEnvelope* env) {
   const std::uint64_t key = key_of(env->origin, env->origin_seq);
   Pending& p = pending_[key];
+  if (p.env != nullptr) owner_.sim_->unpin(p.gen);
   p.env = env;
+  p.gen = owner_.sim_->pin(*env);
   p.attempts = 0;
   for (ProcessId q = 0; q < static_cast<ProcessId>(owner_.n()); ++q) {
     p.unacked.insert(q);
@@ -58,13 +107,19 @@ void RbLayer::schedule_retry(std::uint64_t key) {
   owner_.sim_->schedule(owner_.now() + delay, [this, key] { retry(key); });
 }
 
+void RbLayer::retire(
+    std::unordered_map<std::uint64_t, Pending>::iterator it) {
+  owner_.sim_->unpin(it->second.gen);
+  pending_.erase(it);
+}
+
 void RbLayer::retry(std::uint64_t key) {
   auto it = pending_.find(key);
   if (it == pending_.end()) return;  // fully acked — tracking retired
   if (owner_.is_crashed()) return;
   Pending& p = it->second;
   if (p.unacked.empty() || p.attempts >= params_.max_retries) {
-    pending_.erase(it);
+    retire(it);
     return;
   }
   ++p.attempts;
@@ -79,17 +134,7 @@ void RbLayer::retry(std::uint64_t key) {
 void RbLayer::digest(StateDigest& d) const {
   d.mix_u64(next_seq_);
   d.mix_bool(acks_enabled_);
-  std::vector<std::uint64_t> keys;
-  keys.reserve(seen_.size());
-  for (const std::uint64_t k : seen_) {
-    StateDigest kd(d.perm());
-    kd.mix_id(static_cast<ProcessId>(k >> 40));
-    kd.mix_u64(k & ((std::uint64_t{1} << 40) - 1));
-    keys.push_back(kd.value());
-  }
-  std::sort(keys.begin(), keys.end());
-  d.mix_u64(keys.size());
-  for (const std::uint64_t v : keys) d.mix_u64(v);
+  seen_.digest(d);
 }
 
 bool RbLayer::intercept(const Message& m) {
@@ -99,7 +144,7 @@ bool RbLayer::intercept(const Message& m) {
       auto it = pending_.find(key);
       if (it != pending_.end()) {
         it->second.unacked.erase(ack->sender);
-        if (it->second.unacked.empty()) pending_.erase(it);
+        if (it->second.unacked.empty()) retire(it);
       }
       return true;
     }
@@ -115,14 +160,17 @@ bool RbLayer::intercept(const Message& m) {
     ack->origin_seq = env->origin_seq;
     owner_.send_raw(env->sender, ack);
   }
-  const std::uint64_t key = key_of(env->origin, env->origin_seq);
-  if (!seen_.insert(key).second) {
+  // Only a malformed datagram names an origin outside the run; no
+  // process broadcast it, and the dedup set indexes origins: drop it.
+  if (env->origin < 0 || env->origin >= owner_.n()) return true;
+  if (!seen_.insert(env->origin, env->origin_seq)) {
     return true;  // duplicate — Integrity
   }
   // Forward before delivering: once any correct process delivers, every
   // correct process has the envelope in flight — Termination. The copy
   // re-stamps the forwarder as transport-level sender; inner is shared
-  // (arena-owned, immutable).
+  // (arena-owned, immutable), and the copy's oldest_generation() keeps
+  // inner's arena generation pinned while the copy is in flight.
   if (env->origin != owner_.id()) {
     auto* fwd = owner_.arena().create<RbEnvelope>(*env);
     fwd->sender = owner_.id();

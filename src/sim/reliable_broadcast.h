@@ -20,9 +20,13 @@
 // the layer is bit-identical to the clean echo scheme.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <set>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "sim/message.h"
 #include "util/types.h"
@@ -49,9 +53,15 @@ struct RbEnvelope final : Message {
     inner->digest_into(d);
   }
 
+  /// A forwarded copy shares `inner` with the envelope it copies, so
+  /// the copy keeps the inner payload's generation alive too.
+  std::uint32_t oldest_generation() const override {
+    return std::min(arena_generation, inner->oldest_generation());
+  }
+
   ProcessId origin = -1;
   std::uint64_t origin_seq = 0;
-  const Message* inner = nullptr;  ///< arena-owned, outlives the run
+  const Message* inner = nullptr;  ///< arena-owned, shared by forwards
 };
 
 /// Acknowledges receipt of one envelope copy to its transport-level
@@ -74,6 +84,35 @@ struct RbAckMsg final : Message {
 struct RbRetryParams {
   Time backoff_base = 40;
   int max_retries = 8;
+};
+
+/// The RB dedup set of (origin, seq) keys, compacted: per origin, a
+/// floor below which every seq has been seen, plus one sparse set of the
+/// keys seen above their origin's floor. An origin numbers its
+/// broadcasts 0, 1, 2, ... and copies arrive nearly in order, so the
+/// floors absorb almost every key and memory is O(origins +
+/// reordering) instead of O(broadcasts). Lossless: membership and the
+/// digest are those of the plain key set.
+class RbSeenSet {
+ public:
+  /// Adds (origin, seq); false if it was already present.
+  bool insert(ProcessId origin, std::uint64_t seq);
+
+  /// Every seq below floor(origin) has been seen.
+  std::uint64_t floor(ProcessId origin) const;
+  /// Keys held above the floors (the part that costs memory).
+  std::size_t sparse_size() const { return above_.size(); }
+  /// Number of keys in the set.
+  std::uint64_t size() const;
+
+  /// Folds the keys as a multiset, origins relabeled: each key hashes
+  /// to its own sub-digest, and the sorted sub-digests are mixed after
+  /// their count — the same fold as for a plain set of the same keys.
+  void digest(StateDigest& d) const;
+
+ private:
+  std::vector<std::uint64_t> floors_;  ///< indexed by origin
+  std::set<std::pair<ProcessId, std::uint64_t>> above_;
 };
 
 class RbLayer {
@@ -104,19 +143,22 @@ class RbLayer {
  private:
   struct Pending {
     const RbEnvelope* env = nullptr;
+    std::uint32_t gen = 0;  ///< arena generation pinned for env
     ProcSet unacked;
     int attempts = 0;  ///< retries already sent
   };
 
   /// Registers `env` (just broadcast by the owner) for ack tracking and
-  /// schedules the first retry timer.
+  /// schedules the first retry timer. The entry pins env's arena
+  /// generation until retire() drops it.
   void track(const RbEnvelope* env);
+  void retire(std::unordered_map<std::uint64_t, Pending>::iterator it);
   void schedule_retry(std::uint64_t key);
   void retry(std::uint64_t key);
 
   Process& owner_;
   std::uint64_t next_seq_ = 0;
-  std::unordered_set<std::uint64_t> seen_;  // key: origin << 40 | seq
+  RbSeenSet seen_;
   bool acks_enabled_ = false;
   RbRetryParams params_;
   std::unordered_map<std::uint64_t, Pending> pending_;

@@ -22,6 +22,8 @@ Simulator::Simulator(SimConfig cfg, CrashPlan plan,
   network_ = std::make_unique<Network>(
       *this, std::move(delays), util::Rng(util::derive_seed(cfg.seed, "network")));
   network_->set_batched_broadcasts(cfg.batched_broadcasts);
+  gens_[1].set_generation(1);
+  permanent_.set_generation(kPermanentGeneration);
 }
 
 Simulator::~Simulator() = default;
@@ -61,19 +63,56 @@ void Simulator::schedule_tagged(Time at, EventKind kind, ProcessId owner,
                                 std::function<void()> fn) {
   SAF_CHECK_MSG(at >= now_, "cannot schedule into the past");
   tracer_.event_post(at, next_seq_);
-  queue_.push(Event{at, next_seq_++, -1, nullptr, std::move(fn), kind, owner});
+  queue_.push(
+      Event{at, next_seq_++, -1, 0, nullptr, std::move(fn), kind, owner});
 }
 
 void Simulator::schedule_deliver(Time at, ProcessId to, const Message* m) {
   SAF_CHECK_MSG(at >= now_, "cannot schedule into the past");
   tracer_.event_post(at, next_seq_);
-  queue_.push(Event{at, next_seq_++, to, m, {}});
+  queue_.push(Event{at, next_seq_++, to, pin(*m), m, {}});
 }
 
 void Simulator::schedule_broadcast_deliver(Time at, const Message* m) {
   SAF_CHECK_MSG(at >= now_, "cannot schedule into the past");
   tracer_.event_post(at, next_seq_);
-  queue_.push(Event{at, next_seq_++, kBroadcastRecipient, m, {}});
+  queue_.push(Event{at, next_seq_++, kBroadcastRecipient, pin(*m), m, {}});
+}
+
+bool Simulator::generation_live(std::uint32_t gen) const {
+  return gen == kPermanentGeneration || gen == generation_ ||
+         (generation_ > 0 && gen == generation_ - 1);
+}
+
+std::uint32_t Simulator::pin(const Message& m) {
+  const std::uint32_t gen = m.oldest_generation();
+  if (gen != kPermanentGeneration) {
+#ifndef NDEBUG
+    SAF_CHECK_MSG(generation_live(gen),
+                  "pinned a message of reset arena generation "
+                      << gen << " (current " << generation_ << ")");
+#endif
+    ++pins_[gen & 1];
+  }
+  return gen;
+}
+
+void Simulator::unpin(std::uint32_t gen) {
+  if (gen == kPermanentGeneration) return;
+  SAF_CHECK(pins_[gen & 1] > 0);
+  --pins_[gen & 1];
+}
+
+bool Simulator::start_generation() {
+  // The slot the new generation takes over holds the one before the
+  // previous; generation 1 takes the never-used second slot.
+  const std::uint32_t next = generation_ + 1;
+  if (pins_[next & 1] != 0) return false;
+  util::Arena& slot = gens_[next & 1];
+  slot.reset();
+  slot.set_generation(next);
+  generation_ = next;
+  return true;
 }
 
 void Simulator::crash(ProcessId pid) {
@@ -179,6 +218,33 @@ bool Simulator::over_budget() {
   return false;
 }
 
+void Simulator::dispatch(Event& e) {
+  now_ = e.time;
+  ++events_processed_;
+  if (tracer_.active()) {
+    tracer_.event_dispatch(e.time, e.seq);
+    tracer_.event_processed();
+  }
+  if (e.msg == nullptr) {
+    e.fn();
+    return;
+  }
+#ifndef NDEBUG
+  // The generation invariant (sim/message.h): memory reset and reused
+  // by a later generation carries a newer stamp than the one pinned.
+  SAF_CHECK_MSG(generation_live(e.gen) &&
+                    e.msg->oldest_generation() == e.gen,
+                "delivery of a message that outlived its arena generation "
+                    << e.gen << " (current " << generation_ << ")");
+#endif
+  if (e.to == kBroadcastRecipient) {
+    deliver_all(*e.msg);
+  } else {
+    deliver(e.to, *e.msg);
+  }
+  unpin(e.gen);
+}
+
 void Simulator::deliver(ProcessId to, const Message& m) {
   if (crashed_[static_cast<std::size_t>(to)]) {
     if (tracer_.active()) tracer_.drop(now_, to, m.sender, m.tag(), 1);
@@ -251,21 +317,7 @@ void Simulator::pump(Time upto) {
     const Event& head = queue_.peek();
     if (head.time > upto || head.time > cfg_.horizon) break;
     Event e = queue_.pop();
-    now_ = e.time;
-    ++events_processed_;
-    if (tracer_.active()) {
-      tracer_.event_dispatch(e.time, e.seq);
-      tracer_.event_processed();
-    }
-    if (e.msg != nullptr) {
-      if (e.to == kBroadcastRecipient) {
-        deliver_all(*e.msg);
-      } else {
-        deliver(e.to, *e.msg);
-      }
-    } else {
-      e.fn();
-    }
+    dispatch(e);
   }
   now_ = upto;
 }
@@ -319,21 +371,7 @@ bool Simulator::run_until(const std::function<bool()>& stop) {
     }
     // Move out before dispatch: the handler may push into the queue.
     Event e = pop_next_event();
-    now_ = e.time;
-    ++events_processed_;
-    if (tracer_.active()) {
-      tracer_.event_dispatch(e.time, e.seq);
-      tracer_.event_processed();
-    }
-    if (e.msg != nullptr) {
-      if (e.to == kBroadcastRecipient) {
-        deliver_all(*e.msg);
-      } else {
-        deliver(e.to, *e.msg);
-      }
-    } else {
-      e.fn();
-    }
+    dispatch(e);
     if (stop && stop()) return true;
   }
   return false;

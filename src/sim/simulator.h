@@ -141,9 +141,41 @@ class Simulator {
   /// there.
   void schedule(Time at, std::function<void()> fn);
 
-  /// Per-run arena that owns every protocol message (and any other
-  /// run-scoped pool object). Freed wholesale on destruction.
-  util::Arena& arena() { return arena_; }
+  /// The message arena's current generation: every protocol message
+  /// (and any other run-scoped pool object) is created here. A run that
+  /// never calls start_generation() keeps one generation, freed
+  /// wholesale on destruction. The generation invariant is documented
+  /// in sim/message.h.
+  util::Arena& arena() { return gens_[generation_ & 1]; }
+
+  /// Arena for objects that live as long as the simulator (interned
+  /// messages); start_generation() never resets it.
+  util::Arena& permanent_arena() { return permanent_; }
+
+  /// Starts a new message-arena generation: the arena holding the
+  /// generation before the previous one is reset and receives every
+  /// later allocation. Refuses — returns false and changes nothing —
+  /// while any pin still counts against that generation; the caller
+  /// asks again later. Pins are exact, so whether a reset is safe never
+  /// depends on timing or on how far the caller has moved on.
+  bool start_generation();
+
+  /// The current generation's number (0 until the first
+  /// start_generation()).
+  std::uint32_t generation() const { return generation_; }
+
+  /// Bytes handed out by the live generations (current and previous).
+  std::size_t arena_bytes() const {
+    return gens_[0].bytes_allocated() + gens_[1].bytes_allocated();
+  }
+
+  /// Counts one kept pointer to `m` against the oldest generation it
+  /// reaches, and returns that generation. Pending delivery events are
+  /// pinned by the engine; a holder outside it (RB retransmission
+  /// state) pins what it keeps and unpins it with the returned value
+  /// when it lets go.
+  std::uint32_t pin(const Message& m);
+  void unpin(std::uint32_t gen);
 
   /// Installs (or clears, with nullptr) the delivery observer. May be
   /// set before or during a run; replaces any previous observer.
@@ -219,6 +251,9 @@ class Simulator {
   /// Schedules one aggregated delivery of `m` to every process
   /// (dispatched as deliver_all — the batched-broadcast event).
   void schedule_broadcast_deliver(Time at, const Message* m);
+  /// Runs one popped event: delivery (then releases its pin) or closure.
+  void dispatch(Event& e);
+  bool generation_live(std::uint32_t gen) const;
   void deliver(ProcessId to, const Message& m);
   void deliver_all(const Message& m);
   void tick();
@@ -235,7 +270,13 @@ class Simulator {
   RaceChooser race_chooser_;
   std::vector<const Event*> race_scratch_;
   trace::Tracer tracer_;
-  util::Arena arena_;
+  /// Message arena generations: generation g lives in gens_[g & 1], so
+  /// the current and the previous generation are live at any time.
+  util::Arena gens_[2];
+  util::Arena permanent_;
+  std::uint32_t generation_ = 0;
+  /// Kept pointers per live generation slot (see pin()).
+  std::uint64_t pins_[2] = {0, 0};
   EventQueue queue_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;

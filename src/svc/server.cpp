@@ -5,10 +5,10 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/kset_agreement.h"
@@ -58,14 +58,15 @@ constexpr Time kSnapRetryMs = 200;
 ///     snapshot — and always lands in record(): out-of-order decisions
 ///     park in decided_map_ until the prefix below them fills in.
 ///   * Phase traffic for instances the driver has not reached yet is
-///     buffered (arena-owned pointers, so parking them is free) and
-///     replayed into the core the moment it exists — the per-instance
-///     buffering that makes pipelining-by-decision safe under wire
-///     reordering (same design as core/repeated_kset, which proves it
-///     in-simulator).
-///
-/// Completed cores are never pruned: KSetCore::main() terminates once
-/// decided, so a finished instance costs memory, not cycles.
+///     buffered (as copies: the arena generation it arrived in may be
+///     reset before the instance runs) and replayed into the core the
+///     moment it exists — the per-instance buffering that makes
+///     pipelining-by-decision safe under wire reordering (same design
+///     as core/repeated_kset, which proves it in-simulator).
+///   * A core is retired once its instance is below the frontier AND
+///     its main() has finished: a suspended main() still holds a wait
+///     predicate that captures the core, so being decided is not
+///     enough. Live cores stay a handful, whatever the service's age.
 class ServiceProcess final : public sim::Process {
  public:
   /// Proposal source for instance m (the batching seam).
@@ -84,17 +85,11 @@ class ServiceProcess final : public sim::Process {
   void boot() override { spawn(driver()); }
 
   void on_message(const sim::Message& m) override {
-    const int inst = instance_of(m);
-    if (inst < 0) return;
-    if (auto it = cores_.find(inst); it != cores_.end()) {
-      it->second->on_message(m);
-      return;
+    if (const auto* p1 = dynamic_cast<const core::Phase1Msg*>(&m)) {
+      route(p1->instance, *p1);
+    } else if (const auto* p2 = dynamic_cast<const core::Phase2Msg*>(&m)) {
+      route(p2->instance, *p2);
     }
-    if (inst >= next_ && inst < next_ + kFutureWindow) {
-      future_[inst].push_back(&m);  // arena-owned: outlives the buffer
-    }
-    // Below next_ with no core: the instance was adopted before it ran
-    // locally and its decision is final — drop the straggler.
   }
 
   void on_rdeliver(const sim::Message& m) override {
@@ -123,22 +118,45 @@ class ServiceProcess final : public sim::Process {
   int frontier() const { return frontier_; }
   const std::vector<std::int64_t>& log() const { return log_; }
   std::uint64_t locally_decided() const { return locally_decided_; }
+  /// Most cores alive at once so far.
+  std::uint64_t live_cores_max() const { return live_cores_max_; }
 
  private:
-  static int instance_of(const sim::Message& m) {
-    if (const auto* p1 = dynamic_cast<const core::Phase1Msg*>(&m)) {
-      return p1->instance;
+  using Buffered = std::variant<core::Phase1Msg, core::Phase2Msg>;
+
+  template <typename M>
+  void route(int inst, const M& m) {
+    if (auto it = cores_.find(inst); it != cores_.end()) {
+      it->second->on_message(m);
+      return;
     }
-    if (const auto* p2 = dynamic_cast<const core::Phase2Msg*>(&m)) {
-      return p2->instance;
+    if (inst >= next_ && inst < next_ + kFutureWindow) {
+      future_[inst].emplace_back(m);
     }
-    return -1;
+    // Below next_ with no core: the instance was decided (adopted before
+    // it ran locally, or run and retired) and its decision is final —
+    // drop the straggler.
+  }
+
+  /// Destroys the cores that no task or predicate can reach any more.
+  /// The pipeline task's own wait predicate reads its core only while
+  /// the frontier is at or below the core's instance.
+  void retire_finished() {
+    for (auto it = cores_.begin();
+         it != cores_.end() && it->first < frontier_;) {
+      if (it->second->main_finished()) {
+        it = cores_.erase(it);
+      } else {
+        ++it;
+      }
+    }
   }
 
   /// Task T1 of the pipeline: run instance m the moment everything
   /// below it is decided; skip instances that decided without us.
   sim::ProtocolTask driver() {
     for (;;) {
+      retire_finished();
       const int m = next_;
       if (frontier_ > m) {
         next_ = frontier_;  // decided behind our back (RB or snapshot)
@@ -148,9 +166,13 @@ class ServiceProcess final : public sim::Process {
                                                     fold_(m), m);
       core::KSetCore* c = owned.get();
       cores_.emplace(m, std::move(owned));
+      live_cores_max_ = std::max<std::uint64_t>(live_cores_max_,
+                                                cores_.size());
       spawn(c->main());
       if (auto it = future_.find(m); it != future_.end()) {
-        for (const sim::Message* fm : it->second) c->on_message(*fm);
+        for (const Buffered& b : it->second) {
+          std::visit([c](const auto& msg) { c->on_message(msg); }, b);
+        }
         future_.erase(it);
       }
       co_await until([this, m, c] { return frontier_ > m || c->decided(); });
@@ -199,9 +221,10 @@ class ServiceProcess final : public sim::Process {
   int frontier_ = 0;  ///< contiguous decided prefix length
   std::vector<std::int64_t> log_;
   std::map<int, std::int64_t> decided_map_;  ///< decided above frontier_
-  std::map<int, std::vector<const sim::Message*>> future_;
+  std::map<int, std::vector<Buffered>> future_;
   std::uint64_t locally_decided_ = 0;
   std::uint64_t adopted_ = 0;
+  std::uint64_t live_cores_max_ = 0;
 };
 
 }  // namespace
@@ -453,6 +476,7 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
   const Time end_at = start + cfg.run_for_ms + cfg.linger_ms;
   Time next_snap_at = 0;
   int snap_rotor = (cfg.id + 1) % cfg.n;  // next catch-up target
+  int generation_frontier = 0;  ///< frontier when the generation started
 
   for (;;) {
     const Time now = wall.now_ms();
@@ -473,10 +497,24 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
       // not at the next global tick.
       sim.inject_deliver(cfg.id,
                          sim.arena().create<core::DecisionMsg>(0, -1));
+      // Still behind after adopting: ask again from the new frontier
+      // now. The retry interval only covers lost requests; waiting it
+      // out would cap catch-up below the cluster's decision rate.
+      next_snap_at = now;
     }
     monitor.tick();
     link.maintain();
     sim.pump(now - start);
+    // Message memory behind the frontier. A refused start (something
+    // still points into the generation it would reset) retries on the
+    // next iteration; a snapshot jump of any length starts one.
+    if (proc->frontier() >= generation_frontier + kGenerationInstances &&
+        sim.start_generation()) {
+      generation_frontier = proc->frontier();
+      ++res.arena_generations;
+    }
+    res.arena_bytes_max = std::max<std::uint64_t>(res.arena_bytes_max,
+                                                  sim.arena_bytes());
 
     // Snapshot catch-up trigger: the observed peer frontier (epoch
     // field of incoming datagrams) says the cluster has moved on.
@@ -524,6 +562,7 @@ ServerResult run_service_node(const rt::NodeConfig& cfg) {
   res.ok = true;
   res.frontier = static_cast<std::uint64_t>(proc->frontier());
   res.locally_decided = proc->locally_decided();
+  res.live_cores_max = proc->live_cores_max();
   res.log = proc->log();
   res.total_elapsed_ms = wall.now_ms() - start;
   res.final_suspected = monitor.suspected_now();
@@ -578,6 +617,9 @@ std::string server_result_json(const rt::NodeConfig& cfg,
   w.key("svc_proposals_received").value(res.proposals_received);
   w.key("svc_proposals_served").value(res.proposals_served);
   w.key("svc_batches").value(res.batches);
+  w.key("svc_live_cores_max").value(res.live_cores_max);
+  w.key("svc_arena_bytes_max").value(res.arena_bytes_max);
+  w.key("svc_arena_generations").value(res.arena_generations);
   w.key("svc_decisions").begin_array();
   for (std::int64_t v : res.log) w.value(v);
   w.end_array();
@@ -615,8 +657,19 @@ void check_service_contract(const rt::ClusterConfig& cfg,
     }
   };
 
-  std::map<std::uint64_t, std::set<std::int64_t>> decided;
-  std::map<std::uint64_t, std::set<std::int64_t>> proposed;
+  // Distinct values per instance. Instance ids are contiguous from 0,
+  // so vectors indexed by instance hold them, one small list each.
+  using ValuesByInstance = std::vector<std::vector<std::int64_t>>;
+  ValuesByInstance decided;
+  ValuesByInstance proposed;
+  const auto add = [](ValuesByInstance& by, std::uint64_t inst,
+                      std::int64_t v) {
+    if (inst >= by.size()) by.resize(inst + 1);
+    std::vector<std::int64_t>& vals = by[inst];
+    if (std::find(vals.begin(), vals.end(), v) == vals.end()) {
+      vals.push_back(v);
+    }
+  };
   std::uint64_t max_frontier = 0;
   bool any_loaded = false;
 
@@ -644,20 +697,24 @@ void check_service_contract(const rt::ClusterConfig& cfg,
                   " has a hole at instance " + std::to_string(i));
         break;
       }
-      decided[i].insert(static_cast<std::int64_t>(it->second));
+      add(decided, i, static_cast<std::int64_t>(it->second));
     }
     for (std::uint64_t i = 0;; ++i) {
       const auto ii =
           j.find("svc_proposal_instances." + std::to_string(i));
       const auto vv = j.find("svc_proposal_values." + std::to_string(i));
       if (ii == j.end() || vv == j.end()) break;
-      proposed[static_cast<std::uint64_t>(ii->second)].insert(
-          static_cast<std::int64_t>(vv->second));
+      // A node folds instance m's proposal only once m is its
+      // frontier, so a larger id is garbage: never size a vector by it.
+      const auto inst = static_cast<std::uint64_t>(ii->second);
+      if (inst > frontier) continue;
+      add(proposed, inst, static_cast<std::int64_t>(vv->second));
     }
   }
 
   int max_distinct = 0;
-  for (const auto& [inst, vals] : decided) {
+  for (std::size_t inst = 0; inst < decided.size(); ++inst) {
+    const std::vector<std::int64_t>& vals = decided[inst];
     max_distinct = std::max(max_distinct, static_cast<int>(vals.size()));
     if (static_cast<int>(vals.size()) > cfg.k) {
       violation("svc agreement: instance " + std::to_string(inst) +
@@ -669,10 +726,11 @@ void check_service_contract(const rt::ClusterConfig& cfg,
   // SIGKILLed node's pre-restart proposals are gone with the life that
   // made them, and injected faults can strand a batch's proposer.
   if (cfg.chaos.kills == 0 && cfg.chaos.faults.empty()) {
-    for (const auto& [inst, vals] : decided) {
-      const auto pit = proposed.find(inst);
-      for (const std::int64_t v : vals) {
-        if (pit == proposed.end() || pit->second.count(v) == 0) {
+    proposed.resize(std::max(proposed.size(), decided.size()));
+    for (std::size_t inst = 0; inst < decided.size(); ++inst) {
+      const std::vector<std::int64_t>& props = proposed[inst];
+      for (const std::int64_t v : decided[inst]) {
+        if (std::find(props.begin(), props.end(), v) == props.end()) {
           violation("svc validity: instance " + std::to_string(inst) +
                     " decided " + std::to_string(v) +
                     ", which no node proposed");

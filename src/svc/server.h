@@ -42,6 +42,13 @@
 
 namespace saf::svc {
 
+/// Decided instances per message-arena generation: each time the
+/// frontier advances this far, a node's embedded simulator starts a new
+/// generation, which resets the one before the previous once nothing
+/// points into it (sim/message.h). Node message memory is then bounded
+/// by about two windows of traffic, whatever the service's age.
+inline constexpr int kGenerationInstances = 256;
+
 /// Outcome of one service node's run (the svc analogue of NodeResult).
 struct ServerResult {
   bool ok = false;           ///< socket bound and the run completed
@@ -60,6 +67,12 @@ struct ServerResult {
   ProcSet final_suspected;
   ProcSet final_trusted;
   rt::UdpLinkStats link_stats;
+  /// Memory bounds of the run: the most KSetCores alive at once, the
+  /// most message-arena bytes held by the live generations, and how
+  /// many arena generations were started behind the frontier.
+  std::uint64_t live_cores_max = 0;
+  std::uint64_t arena_bytes_max = 0;
+  std::uint64_t arena_generations = 0;
   /// The decided prefix itself (log[i] = instance i's decision).
   std::vector<std::int64_t> log;
   /// Proposal this node used for each locally run instance, aligned

@@ -2,6 +2,23 @@
 
 #include "util/check.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define SAF_ARENA_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SAF_ARENA_ASAN 1
+#endif
+#endif
+
+#ifdef SAF_ARENA_ASAN
+#include <sanitizer/asan_interface.h>
+#define SAF_ARENA_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
+#define SAF_ARENA_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
+#else
+#define SAF_ARENA_POISON(p, n) ((void)(p), (void)(n))
+#define SAF_ARENA_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
+
 namespace saf::util {
 
 namespace {
@@ -25,6 +42,7 @@ void* Arena::allocate(std::size_t size, std::size_t align) {
     if (at + size <= c.size) {
       c.used = at + size;
       bytes_allocated_ += size;
+      SAF_ARENA_UNPOISON(c.data.get() + at, size);
       return c.data.get() + at;
     }
     ++active_;
@@ -42,12 +60,20 @@ void* Arena::allocate(std::size_t size, std::size_t align) {
   return c.data.get() + at;
 }
 
+Arena::~Arena() {
+  reset();
+  for (Chunk& c : chunks_) SAF_ARENA_UNPOISON(c.data.get(), c.size);
+}
+
 void Arena::reset() {
   for (auto it = dtors_.rbegin(); it != dtors_.rend(); ++it) {
     it->fn(it->p);
   }
   dtors_.clear();
-  for (Chunk& c : chunks_) c.used = 0;
+  for (Chunk& c : chunks_) {
+    c.used = 0;
+    SAF_ARENA_POISON(c.data.get(), c.size);
+  }
   active_ = 0;
   bytes_allocated_ = 0;
 }

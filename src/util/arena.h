@@ -1,11 +1,18 @@
 // Bump-pointer arena allocator for per-simulation object pools.
 //
-// A Simulator owns one Arena and carves every protocol message out of it.
+// A Simulator carves every protocol message out of arenas like this one.
 // Allocation is a pointer bump (no per-object malloc on the hot path);
 // nothing is freed individually — reset() destroys everything at once and
 // keeps the chunks for the next run, so a reset-and-rerun cycle reaches a
 // steady state with zero allocator traffic. Objects with non-trivial
 // destructors are tracked and destroyed in reverse creation order.
+//
+// Each arena carries a generation number, and objects deriving from
+// ArenaStamped record the generation they were created in. The
+// simulator's generational message arena (sim/simulator.h) uses the
+// stamp to account for every pointer into a generation before it resets
+// it. Under AddressSanitizer, reset() poisons the chunks, so a read
+// through a pointer that outlived its generation is reported.
 #pragma once
 
 #include <cstddef>
@@ -17,10 +24,16 @@
 
 namespace saf::util {
 
+/// Base for arena objects that record the generation of the arena that
+/// created them (set by Arena::create, after construction).
+struct ArenaStamped {
+  std::uint32_t arena_generation = 0;
+};
+
 class Arena {
  public:
   Arena() = default;
-  ~Arena() { reset(); }
+  ~Arena();
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
@@ -31,6 +44,9 @@ class Arena {
   T* create(Args&&... args) {
     void* p = allocate(sizeof(T), alignof(T));
     T* obj = new (p) T(std::forward<Args>(args)...);
+    if constexpr (std::is_base_of_v<ArenaStamped, T>) {
+      obj->arena_generation = generation_;
+    }
     if constexpr (!std::is_trivially_destructible_v<T>) {
       dtors_.push_back(Dtor{obj, [](void* q) { static_cast<T*>(q)->~T(); }});
     }
@@ -44,6 +60,10 @@ class Arena {
   /// Destroys all arena objects (reverse creation order) and rewinds the
   /// bump pointers. Chunk memory is retained for reuse.
   void reset();
+
+  /// Sets the generation stamped on objects created from now on. Owners
+  /// that recycle an arena across generations renumber it after reset().
+  void set_generation(std::uint32_t g) { generation_ = g; }
 
   /// Bytes handed out since the last reset (diagnostics / benches).
   std::size_t bytes_allocated() const { return bytes_allocated_; }
@@ -67,6 +87,7 @@ class Arena {
   std::size_t active_ = 0;  ///< chunks_[active_] receives allocations
   std::vector<Dtor> dtors_;
   std::size_t bytes_allocated_ = 0;
+  std::uint32_t generation_ = 0;
 };
 
 }  // namespace saf::util

@@ -4,11 +4,15 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/delay_policy.h"
 #include "sim/network.h"
 #include "sim/process.h"
+#include "sim/reliable_broadcast.h"
 #include "sim/simulator.h"
 
 namespace saf::sim {
@@ -277,6 +281,232 @@ TEST(Simulator, RunUntilStopsEarly) {
   const bool stopped = sim.run_until([&] { return sim.now() >= 7; });
   EXPECT_TRUE(stopped);
   EXPECT_LT(sim.now(), 100);
+}
+
+// --- Task reaping --------------------------------------------------------
+
+/// Spawns one short task per time unit; each sleeps a little and ends.
+class ChurningSpawner : public Process {
+ public:
+  ChurningSpawner(ProcessId id, int n, int t, int tasks, bool fail_last)
+      : Process(id, n, t), tasks_(tasks), fail_last_(fail_last) {}
+
+  void boot() override { spawn(spawner()); }
+
+  ProtocolTask spawner() {
+    for (int i = 0; i < tasks_; ++i) {
+      spawn(short_task(fail_last_ && i == tasks_ - 1));
+      max_live = std::max(max_live, live_tasks());
+      co_await sleep_for(1);
+    }
+  }
+
+  ProtocolTask short_task(bool fail) {
+    co_await sleep_for(3);
+    if (fail) throw std::runtime_error("task failed after reaping");
+    ++finished;
+  }
+
+  std::size_t max_live = 0;
+  int finished = 0;
+
+ private:
+  int tasks_;
+  bool fail_last_;
+};
+
+TEST(Simulator, FinishedTasksAreReaped) {
+  constexpr int kTasks = 10'000;
+  Simulator sim(cfg(1, 0, 3, 3 * kTasks), CrashPlan{},
+                std::make_unique<FixedDelay>(1));
+  auto& p = static_cast<ChurningSpawner&>(sim.add_process(
+      std::make_unique<ChurningSpawner>(0, 1, 0, kTasks, false)));
+  sim.run();
+  EXPECT_EQ(p.finished, kTasks);
+  // The spawner plus the few short tasks still sleeping — never the
+  // thousands that already finished.
+  EXPECT_LE(p.max_live, 6u);
+  EXPECT_EQ(p.live_tasks(), 0u);
+}
+
+TEST(Simulator, TaskExceptionSurfacesAfterReaping) {
+  Simulator sim(cfg(1, 0, 3, 10'000), CrashPlan{},
+                std::make_unique<FixedDelay>(1));
+  auto& p = static_cast<ChurningSpawner&>(sim.add_process(
+      std::make_unique<ChurningSpawner>(0, 1, 0, 200, true)));
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(p.finished, 199);
+  EXPECT_GE(p.live_tasks(), 1u);  // the failed task is kept, not reaped
+}
+
+// --- Message arena generations --------------------------------------------
+
+/// Records the payload of every ping it is handed.
+class PingSink : public Process {
+ public:
+  using Process::Process;
+  void boot() override {}
+  void on_message(const Message& m) override {
+    if (const auto* p = dynamic_cast<const PingMsg*>(&m)) {
+      got.push_back(p->value);
+    }
+  }
+  void on_rdeliver(const Message& m) override { on_message(m); }
+  std::vector<int> got;
+};
+
+TEST(ArenaGenerations, PendingDeliveryHoldsItsGeneration) {
+  Simulator sim(cfg(1, 0), CrashPlan{}, std::make_unique<FixedDelay>(1));
+  auto& p = static_cast<PingSink&>(
+      sim.add_process(std::make_unique<PingSink>(0, 1, 0)));
+  sim.pump(0);
+  const Message* m = sim.arena().create<PingMsg>(41);
+  EXPECT_EQ(m->arena_generation, 0u);
+  sim.inject_deliver(0, m);
+  EXPECT_TRUE(sim.start_generation());  // generation 1: nothing to reset
+  EXPECT_EQ(sim.generation(), 1u);
+  // Generation 2 would reset generation 0, which the pending delivery
+  // still points into.
+  EXPECT_FALSE(sim.start_generation());
+  EXPECT_EQ(sim.generation(), 1u);
+  sim.pump(1);
+  EXPECT_EQ(p.got, std::vector<int>{41});
+  EXPECT_TRUE(sim.start_generation());
+  EXPECT_EQ(sim.generation(), 2u);
+  EXPECT_EQ(sim.arena().create<PingMsg>(1)->arena_generation, 2u);
+}
+
+TEST(ArenaGenerations, ForwardedEnvelopeHoldsItsInnerPayload) {
+  Simulator sim(cfg(1, 0), CrashPlan{}, std::make_unique<FixedDelay>(1));
+  auto& p = static_cast<PingSink&>(
+      sim.add_process(std::make_unique<PingSink>(0, 1, 0)));
+  sim.pump(0);
+  const Message* inner = sim.arena().create<PingMsg>(7);  // generation 0
+  ASSERT_TRUE(sim.start_generation());
+  // An envelope allocated in generation 1 around a generation-0 payload,
+  // as an RB forward made after a generation change is.
+  auto* env = sim.arena().create<RbEnvelope>();
+  env->origin = 0;
+  env->origin_seq = 0;
+  env->inner = inner;
+  EXPECT_EQ(env->arena_generation, 1u);
+  EXPECT_EQ(env->oldest_generation(), 0u);
+  sim.inject_deliver(0, env);
+  EXPECT_FALSE(sim.start_generation());
+  sim.pump(1);
+  EXPECT_EQ(p.got, std::vector<int>{7});
+  EXPECT_TRUE(sim.start_generation());
+}
+
+TEST(ArenaGenerations, InternedMessagesOutliveEveryGeneration) {
+  Simulator sim(cfg(1, 0), CrashPlan{}, std::make_unique<FixedDelay>(1));
+  sim.add_process(std::make_unique<PingSink>(0, 1, 0));
+  const Message* m = sim.permanent_arena().create<PingMsg>(3);
+  EXPECT_EQ(m->oldest_generation(), kPermanentGeneration);
+  sim.pump(0);
+  sim.inject_deliver(0, m);
+  // Permanent messages pin nothing: every generation start succeeds.
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(sim.start_generation());
+  sim.pump(1);
+}
+
+#ifndef NDEBUG
+TEST(ArenaGenerationsDeathTest, MessageOfAResetGenerationIsCaught) {
+  Simulator sim(cfg(1, 0), CrashPlan{}, std::make_unique<FixedDelay>(1));
+  sim.add_process(std::make_unique<PingSink>(0, 1, 0));
+  sim.pump(0);
+  ASSERT_TRUE(sim.start_generation());
+  ASSERT_TRUE(sim.start_generation());  // generation 0 is reset
+  // What an unpinned holder would hand back: a message stamped with a
+  // generation that is gone (kept on the stack here, so reading it is
+  // well defined).
+  PingMsg stale(5);
+  stale.arena_generation = 0;
+  EXPECT_DEATH(sim.inject_deliver(0, &stale), "reset arena generation 0");
+}
+#endif
+
+// --- RB dedup compaction --------------------------------------------------
+
+/// The digest a plain (uncompacted) key set folds to — the pre-compaction
+/// RbLayer fold, kept here as the reference.
+std::uint64_t plain_digest(const std::set<std::pair<ProcessId, std::uint64_t>>& keys) {
+  StateDigest d;
+  std::vector<std::uint64_t> subs;
+  for (const auto& [origin, seq] : keys) {
+    StateDigest kd;
+    kd.mix_id(origin);
+    kd.mix_u64(seq);
+    subs.push_back(kd.value());
+  }
+  std::sort(subs.begin(), subs.end());
+  d.mix_u64(subs.size());
+  for (const std::uint64_t v : subs) d.mix_u64(v);
+  return d.value();
+}
+
+TEST(ReliableBroadcast, SeenSetCollapsesOutOfOrderKeysIntoTheFloor) {
+  RbSeenSet seen;
+  std::set<std::pair<ProcessId, std::uint64_t>> plain;
+  const auto insert = [&](ProcessId o, std::uint64_t s) {
+    const bool fresh = plain.emplace(o, s).second;
+    EXPECT_EQ(seen.insert(o, s), fresh) << o << ":" << s;
+  };
+  for (const std::uint64_t s : {3, 1, 4, 2}) insert(2, s);
+  EXPECT_EQ(seen.floor(2), 0u);
+  EXPECT_EQ(seen.sparse_size(), 4u);
+  insert(2, 0);  // fills the gap: 0..4 collapse into the floor
+  EXPECT_EQ(seen.floor(2), 5u);
+  EXPECT_EQ(seen.sparse_size(), 0u);
+  insert(0, 1);
+  insert(0, 0);
+  insert(0, 9);
+  EXPECT_EQ(seen.floor(0), 2u);
+  EXPECT_EQ(seen.sparse_size(), 1u);
+  // Duplicates below the floor and in the sparse part are still dropped.
+  EXPECT_FALSE(seen.insert(2, 0));
+  EXPECT_FALSE(seen.insert(2, 4));
+  EXPECT_FALSE(seen.insert(0, 9));
+  EXPECT_EQ(seen.floor(1), 0u);  // an origin never heard from
+  EXPECT_EQ(seen.size(), plain.size());
+
+  StateDigest d;
+  seen.digest(d);
+  EXPECT_EQ(d.value(), plain_digest(plain));
+}
+
+TEST(ReliableBroadcast, EnvelopeFromAnOriginOutsideTheRunIsDropped) {
+  Simulator sim(cfg(2, 0), CrashPlan{}, std::make_unique<FixedDelay>(1));
+  auto& p = static_cast<PingSink&>(
+      sim.add_process(std::make_unique<PingSink>(0, 2, 0)));
+  sim.add_process(std::make_unique<PingSink>(1, 2, 0));
+  sim.pump(0);
+  for (const ProcessId origin : {-1, 2, 1 << 30}) {
+    auto* env = sim.arena().create<RbEnvelope>();
+    env->sender = 1;
+    env->origin = origin;
+    env->inner = sim.arena().create<PingMsg>(origin);
+    sim.inject_deliver(0, env);
+  }
+  sim.pump(5);
+  EXPECT_TRUE(p.got.empty());
+}
+
+TEST(ReliableBroadcast, SeenSetDigestMatchesThePlainSetUnderRandomOrders) {
+  util::Rng rng(11);
+  for (int trial = 0; trial < 20; ++trial) {
+    RbSeenSet seen;
+    std::set<std::pair<ProcessId, std::uint64_t>> plain;
+    for (int i = 0; i < 200; ++i) {
+      const auto o = static_cast<ProcessId>(rng.uniform(0, 3));
+      const auto s = static_cast<std::uint64_t>(rng.uniform(0, 40));
+      EXPECT_EQ(seen.insert(o, s), plain.emplace(o, s).second);
+    }
+    EXPECT_EQ(seen.size(), plain.size());
+    StateDigest d;
+    seen.digest(d);
+    EXPECT_EQ(d.value(), plain_digest(plain)) << "trial " << trial;
+  }
 }
 
 TEST(FailurePattern, RejectsPlansWithTooManyCrashes) {

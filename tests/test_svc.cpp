@@ -1,11 +1,16 @@
 // Decision-service suites (src/svc): the client/catch-up wire codec's
-// roundtrip + rejection contract, the tier-side percentile helper, and
-// an end-to-end smoke — a real forked svc cluster with a live client
-// tier, checked through the per-instance service contract.
+// roundtrip + rejection contract, the tier-side percentile helper, the
+// service contract checker on synthetic node results, and end-to-end
+// runs — real forked svc clusters (one with a live client tier, one
+// with a SIGKILL/restart), checked through the per-instance service
+// contract and the nodes' memory bounds.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "rt/cluster.h"
@@ -125,6 +130,21 @@ TEST(SvcClient, LatencyPercentileNearestRank) {
   EXPECT_EQ(latency_percentile({7.5}, 99), 7.5);
 }
 
+/// A node's memory stayed bounded: a handful of live cores and at most
+/// a few generations' worth of message arena, while at least
+/// `min_generations` generations were started behind its frontier.
+void expect_bounded_memory(const sweep::FlatJson& nj, double min_generations,
+                           ProcessId id) {
+  EXPECT_GE(nj.at("svc_arena_generations"), min_generations) << "node " << id;
+  EXPECT_GE(nj.at("svc_live_cores_max"), 1.0) << "node " << id;
+  EXPECT_LE(nj.at("svc_live_cores_max"), 16.0) << "node " << id;
+  // Two live generations of kGenerationInstances instances each, at
+  // under 8 KiB of messages per instance (about 2.6 KiB at n = 5).
+  EXPECT_GT(nj.at("svc_arena_bytes_max"), 0.0) << "node " << id;
+  EXPECT_LE(nj.at("svc_arena_bytes_max"), 2.0 * kGenerationInstances * 8192)
+      << "node " << id;
+}
+
 // End-to-end: a five-node svc cluster pipelines instances for ~2s while
 // a small client tier submits through churned links; the run must hold
 // the per-instance service contract, advance the decided frontier on
@@ -166,7 +186,8 @@ TEST(SvcCluster, PipelinesAndServesClients) {
   EXPECT_EQ(clients.latencies_ms.size(), clients.replies);
 
   // Every node's result file reports a non-trivial decided frontier —
-  // the pipeline ran on all of them, not just a quorum.
+  // the pipeline ran on all of them, not just a quorum — and memory that
+  // stayed bounded while the frontier crossed several arena generations.
   for (const rt::ClusterNodeOutcome& node : res.nodes) {
     ASSERT_TRUE(node.launched);
     const sweep::FlatJson nj =
@@ -174,7 +195,136 @@ TEST(SvcCluster, PipelinesAndServesClients) {
     const auto it = nj.find("svc_frontier");
     ASSERT_NE(it, nj.end()) << "node " << node.id;
     EXPECT_GT(it->second, 0.0) << "node " << node.id;
+    expect_bounded_memory(nj, 3, node.id);
   }
+}
+
+// One server is SIGKILLed mid-stream and restarted from an empty log: it
+// must catch up through snapshots far enough to start arena generations
+// along the way, and the run must keep the service contract.
+TEST(SvcCluster, RestartedServerAdoptsSnapshotsAcrossGenerations) {
+  rt::ClusterConfig cfg;
+  cfg.protocol = "svc";
+  cfg.n = 5;
+  cfg.t = 2;
+  cfg.k = 2;
+  cfg.base_port = 48790;
+  cfg.run_for_ms = 4'000;
+  cfg.out_dir = "test_svc_chaos_out";
+  cfg.svc_client_slots = 4;
+  cfg.node_runner = svc::run_server;
+  cfg.contract_checker = svc::check_service_contract;
+  cfg.chaos.kills = 1;
+  cfg.chaos.window_start_ms = 1'800;
+  cfg.chaos.window_span_ms = 200;
+  cfg.chaos.restart_delay_ms = 300;
+  cfg.chaos.seed = 5;
+
+  const rt::ClusterResult res = rt::run_cluster(cfg);
+  ASSERT_TRUE(res.contract_ok()) << res.detail;
+  ASSERT_EQ(res.chaos_events.size(), 1u);
+  const ProcessId victim = res.chaos_events[0].victim;
+  ASSERT_NE(res.chaos_events[0].restarted_at_ms, kNeverTime);
+
+  const sweep::FlatJson nj =
+      sweep::load_json_numbers(rt::cluster_node_result_path(cfg, victim));
+  EXPECT_GE(nj.at("incarnation"), 1.0);
+  EXPECT_GE(nj.at("svc_snapshot_adopted"), 2.0 * kGenerationInstances);
+  expect_bounded_memory(nj, 2, victim);
+}
+
+// --- Service contract checker on synthetic node results ----------------
+
+/// Writes node `id`'s result file with the given decided log and
+/// proposals ((instance, value) pairs).
+void write_node_result(
+    const rt::ClusterConfig& cfg, ProcessId id, std::uint64_t frontier,
+    const std::vector<std::int64_t>& log,
+    const std::vector<std::pair<std::uint64_t, std::int64_t>>& props) {
+  sweep::JsonWriter w;
+  w.begin_object();
+  w.key("svc_frontier").value(frontier);
+  w.key("svc_decisions").begin_array();
+  for (const std::int64_t v : log) w.value(v);
+  w.end_array();
+  w.key("svc_proposal_instances").begin_array();
+  for (const auto& [inst, v] : props) w.value(inst);
+  w.end_array();
+  w.key("svc_proposal_values").begin_array();
+  for (const auto& [inst, v] : props) w.value(v);
+  w.end_array();
+  w.end_object();
+  sweep::write_file_atomic(rt::cluster_node_result_path(cfg, id), w.str());
+}
+
+rt::ClusterResult synthetic_cluster(const rt::ClusterConfig& cfg) {
+  std::filesystem::create_directories(cfg.out_dir);
+  rt::ClusterResult res;
+  res.ok = true;
+  for (ProcessId id = 0; id < cfg.n; ++id) {
+    rt::ClusterNodeOutcome node;
+    node.id = id;
+    node.launched = true;
+    res.nodes.push_back(node);
+  }
+  return res;
+}
+
+bool has_violation(const rt::ClusterResult& res, const std::string& what) {
+  for (const std::string& v : res.violations) {
+    if (v.find(what) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(SvcContract, AcceptsAgreeingLogs) {
+  rt::ClusterConfig cfg;
+  cfg.n = 3;
+  cfg.k = 2;
+  cfg.out_dir = "test_svc_contract_ok";
+  rt::ClusterResult res = synthetic_cluster(cfg);
+  write_node_result(cfg, 0, 3, {10, 11, 12}, {{0, 10}, {1, 11}, {2, 12}});
+  write_node_result(cfg, 1, 3, {10, 11, 12}, {{0, 20}, {2, 12}});
+  write_node_result(cfg, 2, 2, {10, 11}, {{1, 11}});
+  svc::check_service_contract(cfg, &res);
+  EXPECT_TRUE(res.violations.empty()) << res.detail;
+  EXPECT_EQ(res.distinct_decided, 1);
+}
+
+TEST(SvcContract, ReportsAHoleAndKPlusOneValues) {
+  rt::ClusterConfig cfg;
+  cfg.n = 4;
+  cfg.k = 2;
+  cfg.out_dir = "test_svc_contract_bad";
+  rt::ClusterResult res = synthetic_cluster(cfg);
+  // Instance 1 decided three distinct values (k + 1) on nodes 0-2;
+  // node 3 claims a frontier of 3 but its log stops after one instance.
+  write_node_result(cfg, 0, 2, {10, 11}, {{0, 10}, {1, 11}});
+  write_node_result(cfg, 1, 2, {10, 21}, {{1, 21}});
+  write_node_result(cfg, 2, 2, {10, 31}, {{1, 31}});
+  write_node_result(cfg, 3, 3, {10}, {});
+  svc::check_service_contract(cfg, &res);
+  EXPECT_TRUE(has_violation(res, "node 3 frontier 3 has a hole at instance 1"))
+      << res.detail;
+  EXPECT_TRUE(has_violation(res, "svc agreement: instance 1 decided 3"))
+      << res.detail;
+  EXPECT_FALSE(has_violation(res, "svc validity"));
+  EXPECT_EQ(res.distinct_decided, 3);
+  EXPECT_FALSE(res.contract_ok());
+}
+
+TEST(SvcContract, ReportsAnUnproposedDecision) {
+  rt::ClusterConfig cfg;
+  cfg.n = 3;
+  cfg.k = 2;
+  cfg.out_dir = "test_svc_contract_validity";
+  rt::ClusterResult res = synthetic_cluster(cfg);
+  write_node_result(cfg, 0, 1, {99}, {{0, 10}});
+  write_node_result(cfg, 1, 1, {99}, {});
+  write_node_result(cfg, 2, 1, {99}, {});
+  svc::check_service_contract(cfg, &res);
+  EXPECT_TRUE(has_violation(res, "svc validity: instance 0 decided 99"))
+      << res.detail;
 }
 
 }  // namespace
