@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/add_sx_phiy.h"
+#include "param_print.h"
 
 namespace saf::core {
 namespace {
@@ -55,6 +56,11 @@ struct AddParam {
   int n, t, x, y;
   bool perpetual;
 };
+
+void PrintTo(const AddParam& p, std::ostream* os) {
+  test::print_zero_padded(p, os, &AddParam::n, &AddParam::t, &AddParam::x,
+                          &AddParam::y, &AddParam::perpetual);
+}
 
 class AdditionSweep : public ::testing::TestWithParam<AddParam> {};
 

@@ -4,6 +4,7 @@
 
 #include "core/add_sx_phiy_mp.h"
 #include "core/irreducibility.h"
+#include "param_print.h"
 
 namespace saf::core {
 namespace {
@@ -61,6 +62,11 @@ struct MpParam {
   int n, t, x, y;
   bool perpetual;
 };
+
+void PrintTo(const MpParam& p, std::ostream* os) {
+  test::print_zero_padded(p, os, &MpParam::n, &MpParam::t, &MpParam::x,
+                          &MpParam::y, &MpParam::perpetual);
+}
 
 class AdditionMpSweep : public ::testing::TestWithParam<MpParam> {};
 

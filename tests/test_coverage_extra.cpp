@@ -12,6 +12,7 @@
 #include "sim/delay_policy.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "param_print.h"
 
 namespace saf {
 namespace {
@@ -22,6 +23,11 @@ struct CoordCrashParam {
   ProcessId victim;       ///< round-1..n coordinator candidates
   std::uint64_t sends;    ///< crash after this many sends
 };
+
+void PrintTo(const CoordCrashParam& p, std::ostream* os) {
+  test::print_zero_padded(p, os, &CoordCrashParam::victim,
+                          &CoordCrashParam::sends);
+}
 
 class CoordinatorCrash : public ::testing::TestWithParam<CoordCrashParam> {};
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/kset_agreement.h"
+#include "param_print.h"
 
 namespace saf::core {
 namespace {
@@ -79,6 +80,12 @@ struct SweepParam {
   std::uint64_t seed;
   int crashes;
 };
+
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  test::print_zero_padded(p, os, &SweepParam::n, &SweepParam::t,
+                          &SweepParam::k, &SweepParam::z, &SweepParam::seed,
+                          &SweepParam::crashes);
+}
 
 class KSetSweep : public ::testing::TestWithParam<SweepParam> {};
 

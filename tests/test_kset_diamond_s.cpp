@@ -5,6 +5,7 @@
 
 #include "fd/suspect_oracles.h"
 #include "sim/delay_policy.h"
+#include "param_print.h"
 
 namespace saf::core {
 namespace {
@@ -86,6 +87,11 @@ struct DsParam {
   std::uint64_t seed;
   int crashes;
 };
+
+void PrintTo(const DsParam& p, std::ostream* os) {
+  test::print_zero_padded(p, os, &DsParam::n, &DsParam::t, &DsParam::k,
+                          &DsParam::seed, &DsParam::crashes);
+}
 
 class DiamondSKSetSweep : public ::testing::TestWithParam<DsParam> {};
 

@@ -11,6 +11,7 @@
 #include "core/lower_wheel.h"
 #include "sim/delay_policy.h"
 #include "sim/network.h"
+#include "param_print.h"
 
 namespace saf::core {
 namespace {
@@ -127,6 +128,12 @@ struct DiagonalParam {
   std::uint64_t seed;
   int crashes;
 };
+
+void PrintTo(const DiagonalParam& p, std::ostream* os) {
+  test::print_zero_padded(p, os, &DiagonalParam::n, &DiagonalParam::t,
+                          &DiagonalParam::x, &DiagonalParam::y,
+                          &DiagonalParam::seed, &DiagonalParam::crashes);
+}
 
 class TwoWheelsDiagonal : public ::testing::TestWithParam<DiagonalParam> {};
 
