@@ -5,14 +5,16 @@
 // priority queue whose every event carries a heap-allocated closure
 // owning a shared_ptr message — on the same workload. The second pair
 // isolates the allocation story (arena bump vs make_shared per message).
-// The last one drives the full simulator with a two-process ping-pong to
-// put a number on end-to-end message round-trip latency.
+// The next one drives the full simulator with a two-process ping-pong to
+// put a number on end-to-end message round-trip latency. The last group
+// isolates protocol layers: ProcSet word scans and one KSetCore round.
 //
 // items_per_second is events (respectively messages, round-trips) per
 // second; BENCH_sim.json tracks the whole-protocol figures, this file
 // the isolated engine costs.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -20,9 +22,12 @@
 #include <string_view>
 #include <vector>
 
+#include "core/kset_agreement.h"
+#include "fd/oracle.h"
 #include "sim/delay_policy.h"
 #include "sim/event_queue.h"
 #include "sim/message.h"
+#include "sim/network.h"
 #include "sim/process.h"
 #include "sim/simulator.h"
 #include "util/arena.h"
@@ -295,6 +300,75 @@ void BM_ProcSetMin(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ProcSetMin)->Arg(64)->Arg(1024);
+
+// --- one KSetCore round in isolation -----------------------------------
+
+class FixedLeaders final : public fd::LeaderOracle {
+ public:
+  explicit FixedLeaders(ProcSet l) : l_(l) {}
+  ProcSet trusted(ProcessId, Time) const override { return l_; }
+
+ private:
+  ProcSet l_;
+};
+
+/// A process that runs nothing: it only completes the simulator's n.
+class Silent final : public Process {
+ public:
+  using Process::Process;
+  void boot() override {}
+};
+
+/// One round of Fig 3 at process 0 under a perfect Ω_1 = {0}, the shape
+/// of every process's work in the sweep_runner scale runs (t = 3, one
+/// round): n phase-1 deliveries (the core broadcasts its phase-2 message
+/// once n - t have arrived) and n phase-2 deliveries, all non-bottom (it
+/// then R-broadcasts its decision). Deliveries are injected at one
+/// instant, so the sends are only queued and no other process runs; the
+/// timed region is the receiver's state updates, its wait predicates and
+/// its broadcasts. items_per_second is deliveries per second.
+void BM_KSetCoreRound(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int t = 3;
+  const FixedLeaders omega(ProcSet{0});
+  for (auto _ : state) {
+    SimConfig cfg;
+    cfg.n = n;
+    cfg.t = t;
+    cfg.batched_broadcasts = true;  // as in the scale runs
+    Simulator sim(cfg, CrashPlan{}, std::make_unique<FixedDelay>(1));
+    auto& p = static_cast<core::KSetProcess&>(sim.add_process(
+        std::make_unique<core::KSetProcess>(0, n, t, omega, 100)));
+    for (ProcessId i = 1; i < n; ++i) {
+      sim.add_process(std::make_unique<Silent>(i, n, t));
+    }
+    sim.pump(0);  // boot: process 0 broadcasts its phase-1 message
+    std::vector<const Message*> phase1, phase2;
+    for (ProcessId i = 0; i < n; ++i) {
+      auto* m1 = sim.arena().create<core::Phase1Msg>(1, ProcSet{0}, 100 + i);
+      auto* m2 = sim.arena().create<core::Phase2Msg>(1, 100);
+      m1->sender = m2->sender = i;
+      phase1.push_back(m1);
+      phase2.push_back(m2);
+    }
+    const auto start = std::chrono::steady_clock::now();
+    for (const Message* m : phase1) sim.inject_deliver(0, m);
+    sim.pump(0);
+    for (const Message* m : phase2) sim.inject_deliver(0, m);
+    sim.pump(0);
+    const auto stop = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
+    // Three broadcasts: phase 1 at boot, phase 2, and the decision.
+    if (sim.network().total_sent() != 3 * static_cast<std::uint64_t>(n) ||
+        p.core().rounds_started() != 1) {
+      state.SkipWithError("KSetCore round did not reach its decision");
+      break;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
+                          n);
+}
+BENCHMARK(BM_KSetCoreRound)->Arg(64)->Arg(1024)->UseManualTime();
 
 }  // namespace
 

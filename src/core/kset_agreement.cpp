@@ -50,34 +50,49 @@ KSetCore::KSetCore(sim::Process& host, const fd::LeaderOracle& omega,
   util::require(proposal != kNoValue, "KSetCore: proposal must not be bottom");
 }
 
+int KSetCore::intern(const ProcSet& leaders) {
+  const auto it = std::find(leader_sets_.begin(), leader_sets_.end(), leaders);
+  if (it != leader_sets_.end()) {
+    return static_cast<int>(it - leader_sets_.begin());
+  }
+  leader_sets_.push_back(leaders);
+  return static_cast<int>(leader_sets_.size()) - 1;
+}
+
 int KSetCore::count_phase1(int r) const {
   auto it = phase1_.find(r);
   return it == phase1_.end() ? 0 : static_cast<int>(it->second.size());
 }
 
 bool KSetCore::phase1_from(int r, ProcSet l) const {
-  auto it = phase1_.find(r);
-  if (it == phase1_.end()) return false;
-  return std::any_of(it->second.begin(), it->second.end(),
-                     [l](const Phase1Msg& m) { return l.contains(m.sender); });
+  auto it = phase1_senders_.find(r);
+  return it != phase1_senders_.end() && it->second.intersects(l);
 }
 
 std::optional<ProcSet> KSetCore::majority_leader_set(int r) const {
   auto it = phase1_.find(r);
   if (it == phase1_.end()) return std::nullopt;
-  std::map<ProcSet, int> counts;
-  for (const Phase1Msg& m : it->second) ++counts[m.leaders];
-  for (const auto& [leaders, count] : counts) {
-    if (2 * count > host_.n()) return leaders;
+  std::vector<int> tally(leader_sets_.size(), 0);
+  for (const Phase1Record& rec : it->second) {
+    ++tally[static_cast<std::size_t>(rec.leaders)];
   }
-  return std::nullopt;
+  // Distinct senders give at most one set above n/2; duplicate receipts
+  // can give more, and then the smallest set (ProcSet order) wins, so
+  // the choice never depends on which set was seen first.
+  std::optional<ProcSet> best;
+  for (std::size_t i = 0; i < tally.size(); ++i) {
+    if (2 * tally[i] > host_.n() && (!best || leader_sets_[i] < *best)) {
+      best = leader_sets_[i];
+    }
+  }
+  return best;
 }
 
 std::optional<std::int64_t> KSetCore::estimate_from(int r, ProcSet l) const {
   auto it = phase1_.find(r);
   if (it == phase1_.end()) return std::nullopt;
-  for (const Phase1Msg& m : it->second) {
-    if (l.contains(m.sender)) return m.est;
+  for (const Phase1Record& rec : it->second) {
+    if (l.contains(rec.sender)) return rec.est;
   }
   return std::nullopt;
 }
@@ -116,11 +131,11 @@ sim::ProtocolTask KSetCore::main() {
     if (decided_) break;
     bool saw_bottom = false;
     std::int64_t adopt = kNoValue;
-    for (const Phase2Msg& m : phase2_[r]) {
-      if (m.aux == kNoValue) {
+    for (const Phase2Record& rec : phase2_[r]) {
+      if (rec.aux == kNoValue) {
         saw_bottom = true;
       } else {
-        adopt = m.aux;
+        adopt = rec.aux;
       }
     }
     if (adopt != kNoValue) est_ = adopt;
@@ -146,30 +161,42 @@ void KSetCore::state_digest(sim::StateDigest& d) const {
   d.mix_i64(decision_);
   d.mix_i64(decision_time_);
   d.mix_i64(decision_round_);
-  const auto mix_rounds = [&d](const auto& by_round) {
+  // Each record folds as the message it came from: sender, then the
+  // message's own digest_into().
+  const auto mix_rounds = [&d](const auto& by_round, const auto& fold) {
     d.mix_u64(by_round.size());
-    for (const auto& [r, msgs] : by_round) {
+    for (const auto& [r, records] : by_round) {
       d.mix_i64(r);
-      d.mix_u64(msgs.size());
-      for (const auto& m : msgs) {
-        d.mix_id(m.sender);
-        m.digest_into(d);
+      d.mix_u64(records.size());
+      for (const auto& rec : records) {
+        d.mix_id(rec.sender);
+        fold(r, rec);
       }
     }
   };
-  mix_rounds(phase1_);
-  mix_rounds(phase2_);
+  mix_rounds(phase1_, [this, &d](int r, const Phase1Record& rec) {
+    Phase1Msg{r, leader_sets_[static_cast<std::size_t>(rec.leaders)], rec.est,
+              instance_}
+        .digest_into(d);
+  });
+  mix_rounds(phase2_, [this, &d](int r, const Phase2Record& rec) {
+    Phase2Msg{r, rec.aux, instance_}.digest_into(d);
+  });
 }
 
 bool KSetCore::on_message(const sim::Message& m) {
   if (const auto* p1 = dynamic_cast<const Phase1Msg*>(&m)) {
     if (p1->instance != instance_) return false;
-    phase1_[p1->round].push_back(*p1);
+    // A wire sender outside the run names no process; drop it rather
+    // than index the sender set with it.
+    if (p1->sender < 0 || p1->sender >= host_.n()) return true;
+    phase1_[p1->round].push_back({p1->sender, intern(p1->leaders), p1->est});
+    phase1_senders_[p1->round].insert(p1->sender);
     return true;
   }
   if (const auto* p2 = dynamic_cast<const Phase2Msg*>(&m)) {
     if (p2->instance != instance_) return false;
-    phase2_[p2->round].push_back(*p2);
+    phase2_[p2->round].push_back({p2->sender, p2->aux});
     return true;
   }
   return false;

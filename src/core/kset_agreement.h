@@ -37,8 +37,8 @@ namespace saf::core {
 inline constexpr std::int64_t kNoValue = INT64_MIN;
 
 // Phase messages put their two ints first: they pack right after the
-// 16-byte Message header, which keeps the copies KSetCore buffers per
-// round as small as the payload allows.
+// 16-byte Message header, which keeps the copies the service buffers
+// for future instances as small as the payload allows.
 struct Phase1Msg final : sim::Message {
   Phase1Msg(int r, ProcSet l, std::int64_t e, int inst = 0)
       : round(r), instance(inst), leaders(l), est(e) {}
@@ -122,14 +122,29 @@ class KSetCore {
   /// DFS state fingerprint: every member that shapes future behavior,
   /// including the main coroutine's position (phase_) and its captured
   /// leader set (cur_leaders_), which live in coroutine frames the
-  /// digest cannot inspect. Received phase-1/2 buffers fold in receipt
-  /// order — estimate_from takes the FIRST matching message and commit
-  /// adoption takes the LAST non-bottom aux, so receipt order is real
-  /// state (it is what the widened-oracle bug fixture's violations hang
-  /// on; see docs/exhaustive_checking.md).
+  /// digest cannot inspect. Received phase-1/2 records fold in receipt
+  /// order, each exactly as its message's digest_into() would —
+  /// estimate_from takes the FIRST matching record and commit adoption
+  /// takes the LAST non-bottom aux, so receipt order is real state (it
+  /// is what the widened-oracle bug fixture's violations hang on; see
+  /// docs/exhaustive_checking.md).
   void state_digest(sim::StateDigest& d) const;
 
  private:
+  /// What a received phase message contributes: its values, not a copy.
+  /// Duplicate receipts (the fault layer's dup profile) get a record
+  /// each: every receipt counts towards n - t.
+  struct Phase1Record {
+    ProcessId sender;
+    int leaders;  ///< index into leader_sets_
+    std::int64_t est;
+  };
+  struct Phase2Record {
+    ProcessId sender;
+    std::int64_t aux;
+  };
+
+  int intern(const ProcSet& leaders);
   int count_phase1(int r) const;
   bool phase1_from(int r, ProcSet l) const;
   std::optional<ProcSet> majority_leader_set(int r) const;
@@ -146,8 +161,14 @@ class KSetCore {
   /// set main() captured for the current round.
   int phase_ = 0;
   ProcSet cur_leaders_;
-  std::map<int, std::vector<Phase1Msg>> phase1_;
-  std::map<int, std::vector<Phase2Msg>> phase2_;
+  /// Distinct leader sets seen in phase-1 traffic; Ω_z yields a few.
+  std::vector<ProcSet> leader_sets_;
+  /// Per round, in receipt order.
+  std::map<int, std::vector<Phase1Record>> phase1_;
+  std::map<int, std::vector<Phase2Record>> phase2_;
+  /// The senders in phase1_[r], for phase1_from; derived from phase1_,
+  /// so state_digest() does not fold it.
+  std::map<int, ProcSet> phase1_senders_;
   bool decided_ = false;
   /// Not folded by state_digest(): the host's waiter multiset already
   /// tells a finished main() from a suspended one.

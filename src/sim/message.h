@@ -20,8 +20,9 @@
 //   entry (counted by RbLayer), and an envelope's inner payload
 //   (reached through the envelope). start_generation() resets a
 //   generation only when its count is zero. Protocol code must not
-//   keep raw message pointers across deliveries; it keeps copies
-//   (KSetCore's per-round buffers, the service's future-instance
+//   keep raw message pointers across deliveries: it keeps the values
+//   it needs (KSetCore's per-round receipt records) or, where it must
+//   replay whole messages later, copies (the service's future-instance
 //   buffer). Interned payload-free messages live in the simulator's
 //   permanent arena, outside the generations.
 //

@@ -94,9 +94,7 @@ void RbLayer::track(const RbEnvelope* env) {
   p.env = env;
   p.gen = owner_.sim_->pin(*env);
   p.attempts = 0;
-  for (ProcessId q = 0; q < static_cast<ProcessId>(owner_.n()); ++q) {
-    p.unacked.insert(q);
-  }
+  p.unacked = ProcSet::full(owner_.n());
   schedule_retry(key);
 }
 

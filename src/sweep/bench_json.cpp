@@ -1,6 +1,7 @@
 #include "sweep/bench_json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -121,7 +122,11 @@ namespace {
 /// Recursive-descent parser that records only numeric leaves.
 class FlatParser {
  public:
-  explicit FlatParser(const std::string& text) : s_(text) {}
+  /// With `ints`, also records the plain unsigned-integer leaves there
+  /// (node result files hold ~10^5 leaves, so only callers that need
+  /// the exact view pay for a second map).
+  explicit FlatParser(const std::string& text, FlatIntegers* ints = nullptr)
+      : s_(text), ints_(ints) {}
 
   FlatJson parse() {
     skip_ws();
@@ -233,6 +238,11 @@ class FlatParser {
     } catch (const std::exception&) {
       fail("bad number '" + tok + "'");
     }
+    if (ints_ == nullptr || path.empty()) return;
+    std::uint64_t u = 0;
+    const char* end = tok.data() + tok.size();
+    const auto [stop, ec] = std::from_chars(tok.data(), end, u);
+    if (ec == std::errc() && stop == end) (*ints_)[path] = u;
   }
 
   void expect(std::string_view word) {
@@ -257,6 +267,7 @@ class FlatParser {
   const std::string& s_;
   std::size_t at_ = 0;
   FlatJson out_;
+  FlatIntegers* ints_;
 };
 
 bool ends_with(std::string_view s, std::string_view suffix) {
@@ -268,6 +279,14 @@ bool ends_with(std::string_view s, std::string_view suffix) {
 /// machine and are recorded as diagnostics, not compared.
 bool gates(std::string_view key) { return ends_with(key, "_per_sec"); }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 }  // namespace
 
 FlatJson parse_json_numbers(const std::string& text) {
@@ -275,11 +294,17 @@ FlatJson parse_json_numbers(const std::string& text) {
 }
 
 FlatJson load_json_numbers(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse_json_numbers(ss.str());
+  return parse_json_numbers(read_file(path));
+}
+
+FlatIntegers parse_json_integers(const std::string& text) {
+  FlatIntegers ints;
+  FlatParser(text, &ints).parse();
+  return ints;
+}
+
+FlatIntegers load_json_integers(const std::string& path) {
+  return parse_json_integers(read_file(path));
 }
 
 void write_file(const std::string& path, const std::string& text) {
@@ -325,6 +350,23 @@ RegressionReport compare_benchmarks(const FlatJson& baseline,
       std::ostringstream line;
       line << key << ": " << base << " -> " << cur << buf;
       report.regressions.push_back(line.str());
+    }
+  }
+  return report;
+}
+
+RegressionReport compare_checksums(const FlatIntegers& baseline,
+                                   const FlatIntegers& current) {
+  RegressionReport report;
+  for (const auto& [key, base] : baseline) {
+    if (!ends_with(key, "digest_checksum")) continue;
+    const auto it = current.find(key);
+    if (it == current.end()) {
+      report.missing.push_back(key);
+    } else if (it->second != base) {
+      report.regressions.push_back(key + ": " + std::to_string(base) +
+                                   " -> " + std::to_string(it->second) +
+                                   " (checksum differs)");
     }
   }
   return report;

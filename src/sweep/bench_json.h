@@ -4,9 +4,10 @@
 // numbers, strings) — enough to emit the bench schemas without a
 // dependency. The reader flattens a JSON document into dotted-path
 // numeric keys ("sweeps.kset.runs_per_sec" -> 1234.5), which is all the
-// CI regression gate needs: compare every throughput/latency metric of
-// the current run against the checked-in baseline and fail on
-// regressions beyond a tolerance. Improvements never fail.
+// CI regression gate needs: compare every throughput metric of the
+// current run against the checked-in baseline and fail on regressions
+// beyond a tolerance (improvements never fail), and require every run
+// digest checksum to repeat exactly.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +53,13 @@ FlatJson parse_json_numbers(const std::string& text);
 /// Reads and flattens a JSON file; throws on I/O or parse failure.
 FlatJson load_json_numbers(const std::string& path);
 
+/// The unsigned-integer leaves of a JSON document, exactly, keyed like
+/// FlatJson. A double keeps only 53 bits — too few for a 64-bit digest
+/// checksum — so exact comparisons read these instead.
+using FlatIntegers = std::map<std::string, std::uint64_t>;
+FlatIntegers parse_json_integers(const std::string& text);
+FlatIntegers load_json_integers(const std::string& path);
+
 /// Writes `text` to `path` (atomically enough for our purposes).
 void write_file(const std::string& path, const std::string& text);
 
@@ -77,5 +85,12 @@ struct RegressionReport {
 RegressionReport compare_benchmarks(const FlatJson& baseline,
                                     const FlatJson& current,
                                     double tolerance);
+
+/// Exact gate used by CI next to compare_benchmarks: every baseline
+/// "*digest_checksum" must be present in the current run and equal.
+/// A checksum pins a workload's run outcomes (decisions, times, event
+/// counts), so any difference is a behaviour change, not noise.
+RegressionReport compare_checksums(const FlatIntegers& baseline,
+                                   const FlatIntegers& current);
 
 }  // namespace saf::sweep

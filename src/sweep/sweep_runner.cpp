@@ -11,8 +11,14 @@
 //                     determinism.
 //
 //   sweep_runner --seeds 500 --jobs 4 --grid --out-dir .
-//   sweep_runner --seeds 500 --baseline-sweep BENCH_sweep.json
+//   sweep_runner --seeds 500 --sim-runs 25 --grid --scale full
+//                --baseline-sweep BENCH_sweep.json
 //                --baseline-sim BENCH_sim.json --tolerance 0.25
+//
+// The baseline gate fails on a *_per_sec drop beyond the tolerance and
+// on any digest_checksum that differs from the baseline's. Checksums
+// pin the runs' outcomes, so gate only against a baseline written with
+// the same --seeds, --sim-runs, --grid and --scale.
 //
 // Fault-injection mode (docs/fault_injection.md): with --faults set the
 // runner executes the self-healing fault sweep instead of the benches —
@@ -927,10 +933,16 @@ int main(int argc, char** argv) {
                         const char* label) {
     if (baseline_path.empty()) return;
     try {
-      const FlatJson base = load_json_numbers(baseline_path);
-      const FlatJson cur = parse_json_numbers(current_text);
-      const RegressionReport rep =
-          compare_benchmarks(base, cur, args.tolerance);
+      RegressionReport rep =
+          compare_benchmarks(load_json_numbers(baseline_path),
+                             parse_json_numbers(current_text), args.tolerance);
+      const RegressionReport exact =
+          compare_checksums(load_json_integers(baseline_path),
+                            parse_json_integers(current_text));
+      rep.regressions.insert(rep.regressions.end(), exact.regressions.begin(),
+                             exact.regressions.end());
+      rep.missing.insert(rep.missing.end(), exact.missing.begin(),
+                         exact.missing.end());
       for (const std::string& line : rep.regressions) {
         std::cerr << "[" << label << "] REGRESSION " << line << "\n";
       }
@@ -942,7 +954,8 @@ int main(int argc, char** argv) {
       } else {
         std::cout << "[" << label << "] no throughput regression vs "
                   << baseline_path << " (tolerance "
-                  << static_cast<int>(args.tolerance * 100) << "%)\n";
+                  << static_cast<int>(args.tolerance * 100)
+                  << "%), digest checksums equal\n";
       }
     } catch (const std::exception& e) {
       std::cerr << "[" << label << "] baseline check failed: " << e.what()

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "core/kset_agreement.h"
 #include "core/phibar_to_omega.h"
@@ -13,6 +16,7 @@
 #include "fd/query_oracles.h"
 #include "sim/delay_policy.h"
 #include "sim/network.h"
+#include "util/permutation.h"
 
 namespace saf::core {
 namespace {
@@ -170,6 +174,215 @@ TEST(KSetEdges, LeaderSetWithCrashedMemberStillTerminates) {
   }
   EXPECT_LE(values.size(), 2u);
   EXPECT_GE(values.size(), 1u);
+}
+
+// --- Receive state: digest fold and phase-1 semantics ---------------------
+
+class FixedLeaders final : public fd::LeaderOracle {
+ public:
+  explicit FixedLeaders(ProcSet l) : l_(l) {}
+  ProcSet trusted(ProcessId, Time) const override { return l_; }
+
+ private:
+  ProcSet l_;
+};
+
+template <typename M>
+M from(ProcessId sender, M m) {
+  m.sender = sender;
+  return m;
+}
+
+/// The fold of a core that has received the given messages but never
+/// run (round 0, phase 0, undecided), with the buffers written out as
+/// plain per-round message lists: per phase the number of rounds, then
+/// per round its number, its size, and per message the sender followed
+/// by the message's own digest_into().
+template <typename Buffers>
+void mix_rounds(sim::StateDigest& d, const Buffers& by_round) {
+  d.mix_u64(by_round.size());
+  for (const auto& [r, msgs] : by_round) {
+    d.mix_i64(r);
+    d.mix_u64(msgs.size());
+    for (const auto& m : msgs) {
+      d.mix_id(m.sender);
+      m.digest_into(d);
+    }
+  }
+}
+
+std::uint64_t reference_digest(const util::Perm* perm, std::int64_t est,
+                               int instance,
+                               const std::map<int, std::vector<Phase1Msg>>& p1,
+                               const std::map<int, std::vector<Phase2Msg>>& p2) {
+  sim::StateDigest d(perm);
+  d.mix_i64(est);
+  d.mix_i64(instance);
+  d.mix_i64(0);  // round
+  d.mix_i64(0);  // phase
+  d.mix_set(ProcSet{});
+  d.mix_bool(false);
+  d.mix_i64(kNoValue);
+  d.mix_i64(kNeverTime);
+  d.mix_i64(0);  // decision round
+  mix_rounds(d, p1);
+  mix_rounds(d, p2);
+  return d.value();
+}
+
+TEST(KSetReceiveState, DigestFoldsReceiptsLikeRetainedMessages) {
+  const int n = 5, t = 2, instance = 3;
+  const std::int64_t proposal = 7;
+  const ProcSet a{0, 1}, b{2}, c{3, 4};
+  const FixedLeaders omega(a);
+  sim::Process host(0, n, t);
+  KSetCore core(host, omega, proposal, instance);
+
+  // Two rounds, three leader sets, a duplicate copy, bottom and
+  // non-bottom phase-2 values, round-1 traffic after round 2 started,
+  // and one message of another instance (not consumed, not folded).
+  std::map<int, std::vector<Phase1Msg>> p1;
+  std::map<int, std::vector<Phase2Msg>> p2;
+  const auto phase1 = [&](const Phase1Msg& m) {
+    ASSERT_TRUE(core.on_message(m));
+    p1[m.round].push_back(m);
+  };
+  const auto phase2 = [&](const Phase2Msg& m) {
+    ASSERT_TRUE(core.on_message(m));
+    p2[m.round].push_back(m);
+  };
+  phase1(from(2, Phase1Msg{1, a, 20, instance}));
+  phase1(from(4, Phase1Msg{2, c, 40, instance}));
+  phase2(from(1, Phase2Msg{1, kNoValue, instance}));
+  phase1(from(0, Phase1Msg{1, b, 10, instance}));
+  phase1(from(2, Phase1Msg{1, a, 20, instance}));  // duplicate copy
+  phase2(from(3, Phase2Msg{1, 30, instance}));
+  phase2(from(4, Phase2Msg{2, 44, instance}));
+  phase1(from(3, Phase1Msg{1, c, 30, instance}));  // round 1, after round 2
+  phase2(from(0, Phase2Msg{1, 10, instance}));
+  phase1(from(1, Phase1Msg{2, a, 11, instance}));
+  EXPECT_FALSE(core.on_message(from(1, Phase1Msg{1, b, 99, instance + 1})));
+
+  const util::Perm relabel({3, 0, 4, 1, 2});
+  for (const util::Perm* perm : {static_cast<const util::Perm*>(nullptr),
+                                 &relabel}) {
+    sim::StateDigest d(perm);
+    core.state_digest(d);
+    EXPECT_EQ(d.value(), reference_digest(perm, proposal, instance, p1, p2))
+        << (perm == nullptr ? "identity" : "relabeled");
+  }
+
+  // Receipt order within a round is state: reversing it changes the
+  // digest, and the reference follows.
+  KSetCore reversed(host, omega, proposal, instance);
+  for (auto& [r, msgs] : p1) {
+    std::reverse(msgs.begin(), msgs.end());
+    for (const Phase1Msg& m : msgs) reversed.on_message(m);
+  }
+  for (const auto& [r, msgs] : p2) {
+    for (const Phase2Msg& m : msgs) reversed.on_message(m);
+  }
+  sim::StateDigest d_core, d_reversed;
+  core.state_digest(d_core);
+  reversed.state_digest(d_reversed);
+  EXPECT_NE(d_core.value(), d_reversed.value());
+  EXPECT_EQ(d_reversed.value(),
+            reference_digest(nullptr, proposal, instance, p1, p2));
+}
+
+TEST(KSetReceiveState, DropsPhase1FromSendersOutsideTheRun) {
+  // Only a wire decoder can produce such a sender; the core must not
+  // index its sender set with it, nor count it towards n - t.
+  const int n = 5, t = 2;
+  const FixedLeaders omega(ProcSet{0});
+  sim::Process host(0, n, t);
+  KSetCore fed(host, omega, 7), clean(host, omega, 7);
+  const Phase1Msg valid = from(1, Phase1Msg{1, ProcSet{0}, 11});
+  EXPECT_TRUE(fed.on_message(valid));
+  EXPECT_TRUE(clean.on_message(valid));
+  EXPECT_TRUE(fed.on_message(from(n, Phase1Msg{1, ProcSet{0}, 12})));
+  EXPECT_TRUE(fed.on_message(from(-1, Phase1Msg{1, ProcSet{0}, 13})));
+  EXPECT_TRUE(fed.on_message(from(kMaxProcs, Phase1Msg{1, ProcSet{0}, 14})));
+  sim::StateDigest d_fed, d_clean;
+  fed.state_digest(d_fed);
+  clean.state_digest(d_clean);
+  EXPECT_EQ(d_fed.value(), d_clean.value());
+}
+
+/// Sends one scripted round-1 phase-1 message to process 0 at boot.
+class Phase1Feeder final : public sim::Process {
+ public:
+  Phase1Feeder(ProcessId id, int n, int t, ProcSet leaders, std::int64_t est)
+      : Process(id, n, t), leaders_(leaders), est_(est) {}
+  void boot() override { send_to(0, Phase1Msg{1, leaders_, est_}); }
+
+ private:
+  ProcSet leaders_;
+  std::int64_t est_;
+};
+
+struct ScriptedPhase1 {
+  ProcSet leaders;
+  std::int64_t est;  ///< ignored for process 0, which proposes 100
+};
+
+/// Runs process 0 (a KSetProcess whose Ω says `subject_leaders`) against
+/// feeders 1..n-1 that each send it one phase-1 message; `script[i]` is
+/// what process i sends, and `order` is the order in which process 0
+/// receives the round-1 phase-1 messages (its own included). Returns the
+/// aux of the phase-2 message process 0 broadcasts, as seen on the wire.
+std::int64_t round1_aux(ProcSet subject_leaders,
+                        const std::vector<ScriptedPhase1>& script,
+                        const std::vector<ProcessId>& order) {
+  const int n = static_cast<int>(script.size());
+  sim::SimConfig sc;
+  sc.n = n;
+  sc.t = (n - 1) / 2;
+  sc.horizon = 1000;
+  auto delays = std::make_unique<sim::ScriptedDelay>(
+      [order](ProcessId src, ProcessId dst, Time, util::Rng&) -> Time {
+        if (dst != 0) return 1;
+        const auto pos = std::find(order.begin(), order.end(), src);
+        return 1 + (pos - order.begin());
+      });
+  sim::Simulator sim(sc, sim::CrashPlan{}, std::move(delays));
+  const FixedLeaders omega(subject_leaders);
+  sim.add_process(std::make_unique<KSetProcess>(0, n, sc.t, omega, 100));
+  for (ProcessId i = 1; i < n; ++i) {
+    const auto& s = script[static_cast<std::size_t>(i)];
+    sim.add_process(
+        std::make_unique<Phase1Feeder>(i, n, sc.t, s.leaders, s.est));
+  }
+  std::optional<std::int64_t> aux;
+  sim.set_delivery_observer([&aux](Time, ProcessId, const sim::Message& m) {
+    const auto* p2 = dynamic_cast<const Phase2Msg*>(&m);
+    if (p2 != nullptr && m.sender == 0 && p2->round == 1) aux = p2->aux;
+  });
+  EXPECT_TRUE(sim.run_until([&aux] { return aux.has_value(); }));
+  return aux.value_or(kNoValue);
+}
+
+TEST(KSetReceiveState, MajorityLeaderSetNeedNotBeFirstSeenOrSmallest) {
+  // Process 0 waits for its leader p4. By then {1,2} holds 3 of 5
+  // phase-1 messages; {0} was seen first and is smaller in ProcSet order.
+  const std::vector<ScriptedPhase1> script = {
+      {{4}, 0}, {{1, 2}, 11}, {{1, 2}, 22}, {{0}, 33}, {{1, 2}, 44}};
+  EXPECT_EQ(round1_aux(ProcSet{4}, script, {3, 0, 2, 1, 4}), 22);
+}
+
+TEST(KSetReceiveState, EstimateComesFromFirstReceiptFromMajoritySet) {
+  const std::vector<ScriptedPhase1> script = {
+      {{4}, 0}, {{1, 2}, 11}, {{1, 2}, 22}, {{0}, 33}, {{1, 2}, 44}};
+  // p2's message arrives before p1's: p2's estimate, not the lowest id's.
+  EXPECT_EQ(round1_aux(ProcSet{4}, script, {3, 0, 2, 1, 4}), 22);
+  EXPECT_EQ(round1_aux(ProcSet{4}, script, {3, 0, 1, 2, 4}), 11);
+}
+
+TEST(KSetReceiveState, NoMajorityLeaderSetGivesBottom) {
+  // Largest tally is {1,2} with 2 of 5: no set passes n/2.
+  const std::vector<ScriptedPhase1> script = {
+      {{4}, 0}, {{3}, 11}, {{1, 2}, 22}, {{0}, 33}, {{1, 2}, 44}};
+  EXPECT_EQ(round1_aux(ProcSet{4}, script, {3, 0, 2, 1, 4}), kNoValue);
 }
 
 class KSetSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};

@@ -246,5 +246,50 @@ TEST(BenchJson, RegressionGateFailsOnThroughputDropOnly) {
   EXPECT_FALSE(gone.ok());
 }
 
+TEST(BenchJson, IntegerLeavesParseExactly) {
+  const FlatIntegers ints = parse_json_integers(
+      "{\"a\": {\"digest_checksum\": 18211549360163749905},"
+      " \"neg\": -3, \"frac\": 2.5, \"exp\": 1e3, \"small\": 60}");
+  EXPECT_EQ(ints.at("a.digest_checksum"), 18211549360163749905ULL);
+  EXPECT_EQ(ints.at("small"), 60u);
+  EXPECT_EQ(ints.count("neg"), 0u);
+  EXPECT_EQ(ints.count("frac"), 0u);
+  EXPECT_EQ(ints.count("exp"), 0u);
+}
+
+TEST(BenchJson, ChecksumGateIsExact) {
+  // Two checksums one apart that the same double represents: only the
+  // integer view tells them apart.
+  const std::string base_text =
+      "{\"scale\": {\"n1024\": {\"digest_checksum\": "
+      "18211549360163749905, \"events\": 3076}},"
+      " \"fig3\": {\"digest_checksum\": 60}}";
+  const FlatIntegers base = parse_json_integers(base_text);
+  ASSERT_EQ(static_cast<double>(18211549360163749905ULL),
+            static_cast<double>(18211549360163749906ULL));
+
+  EXPECT_TRUE(compare_checksums(base, parse_json_integers(base_text)).ok());
+
+  const RegressionReport off = compare_checksums(
+      base, parse_json_integers(
+                "{\"scale\": {\"n1024\": {\"digest_checksum\": "
+                "18211549360163749906, \"events\": 3076}},"
+                " \"fig3\": {\"digest_checksum\": 60}}"));
+  ASSERT_EQ(off.regressions.size(), 1u);
+  EXPECT_NE(off.regressions[0].find("scale.n1024.digest_checksum"),
+            std::string::npos);
+  EXPECT_TRUE(off.missing.empty());
+
+  // Other integer keys do not gate; a vanished checksum is missing.
+  const RegressionReport gone = compare_checksums(
+      base, parse_json_integers(
+                "{\"scale\": {\"n1024\": {\"events\": 9}},"
+                " \"fig3\": {\"digest_checksum\": 60}}"));
+  EXPECT_TRUE(gone.regressions.empty());
+  ASSERT_EQ(gone.missing.size(), 1u);
+  EXPECT_EQ(gone.missing[0], "scale.n1024.digest_checksum");
+  EXPECT_FALSE(gone.ok());
+}
+
 }  // namespace
 }  // namespace saf::sweep
