@@ -11,8 +11,10 @@
 // Writes the BENCH_dfs.json baseline checked in at the repo root; with
 // --baseline FILE [--tolerance F] it additionally gates the *_per_sec
 // metrics via sweep::compare_benchmarks, exactly like the other perf
-// baselines (the CI perf job runs that). Counts (runs, depths, the
-// reduction factor) are machine-independent diagnostics and are
+// baselines (the CI perf job runs that), and requires the equal-depth
+// tree sizes (brute_runs, reduced_runs) to equal the baseline's
+// exactly: they are machine-independent, so a change means the
+// explored tree changed. Depth reach and the reduction factor are
 // reported but not gated.
 //
 // Like bench_rt_*, this is deliberately not a google-benchmark binary
@@ -22,6 +24,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "check/dfs.h"
 #include "check/protocols.h"
@@ -201,11 +204,19 @@ int main(int argc, char** argv) {
 
   if (!baseline_path.empty()) {
     try {
-      const saf::sweep::FlatJson base =
-          saf::sweep::load_json_numbers(baseline_path);
-      const saf::sweep::FlatJson cur = saf::sweep::parse_json_numbers(w.str());
-      const saf::sweep::RegressionReport rep =
-          saf::sweep::compare_benchmarks(base, cur, tolerance);
+      saf::sweep::RegressionReport rep = saf::sweep::compare_benchmarks(
+          saf::sweep::load_json_numbers(baseline_path),
+          saf::sweep::parse_json_numbers(w.str()), tolerance);
+      const saf::sweep::RegressionReport exact = saf::sweep::compare_exact(
+          saf::sweep::load_json_integers(baseline_path),
+          saf::sweep::parse_json_integers(w.str()), [](std::string_view key) {
+            return key == "equal_depth.brute_runs" ||
+                   key == "equal_depth.reduced_runs";
+          });
+      rep.regressions.insert(rep.regressions.end(), exact.regressions.begin(),
+                             exact.regressions.end());
+      rep.missing.insert(rep.missing.end(), exact.missing.begin(),
+                         exact.missing.end());
       for (const std::string& line : rep.regressions) {
         std::cerr << "bench_dfs: REGRESSION " << line << "\n";
       }

@@ -6,8 +6,10 @@
 // owning a shared_ptr message — on the same workload. The second pair
 // isolates the allocation story (arena bump vs make_shared per message).
 // The next one drives the full simulator with a two-process ping-pong to
-// put a number on end-to-end message round-trip latency. The last group
+// put a number on end-to-end message round-trip latency. The next group
 // isolates protocol layers: ProcSet word scans and one KSetCore round.
+// The last pair is the reduced DFS replay: one Ω_z anarchy query and one
+// small kset search.
 //
 // items_per_second is events (respectively messages, round-trips) per
 // second; BENCH_sim.json tracks the whole-protocol figures, this file
@@ -17,12 +19,16 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <string_view>
 #include <vector>
 
+#include "check/dfs.h"
+#include "check/protocols.h"
 #include "core/kset_agreement.h"
+#include "fd/omega_oracle.h"
 #include "fd/oracle.h"
 #include "sim/delay_policy.h"
 #include "sim/event_queue.h"
@@ -369,6 +375,54 @@ void BM_KSetCoreRound(benchmark::State& state) {
                           n);
 }
 BENCHMARK(BM_KSetCoreRound)->Arg(64)->Arg(1024)->UseManualTime();
+
+// --- the reduced DFS replay: Ω_z anarchy draws and one search ---------
+
+/// One OmegaZOracle::trusted query in the anarchy period, at a fresh
+/// (i, now) each iteration, with kset-small's z = 1: the reduced DFS of
+/// kset-small makes about 180 of these per replay. items_per_second is
+/// queries per second.
+void BM_OmegaAnarchyTrusted(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const FailurePattern fp(n, 1, CrashPlan{});
+  fd::OmegaOracleParams params;
+  params.stab_time = std::numeric_limits<Time>::max();
+  const fd::OmegaZOracle omega(fp, 1, params);
+  Time now = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        omega.trusted(static_cast<ProcessId>(now % n), now));
+    ++now;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_OmegaAnarchyTrusted)->Arg(4)->Arg(1024);
+
+/// One reduced DFS search of kset-small (dispatch order, state hashing,
+/// symmetry and partial-order reduction, as in the dfs-kset workload)
+/// exhausted to the given depth. items_per_second is replays per second.
+void BM_DfsKsetSmallSearch(benchmark::State& state) {
+  const check::Protocol* p = check::find_protocol("kset-small");
+  check::DfsOptions opt;
+  opt.depth = static_cast<int>(state.range(0));
+  opt.mode = check::DfsMode::kDispatchOrder;
+  opt.state_hash = true;
+  opt.symmetry = true;
+  opt.por = true;
+  opt.max_runs = 1u << 22;
+  const check::ScheduleCase base;
+  std::uint64_t runs = 0;
+  for (auto _ : state) {
+    const check::DfsReport r = check::explore_interleavings(*p, base, opt);
+    if (!r.exhausted || !r.clean()) {
+      state.SkipWithError("the search did not exhaust cleanly");
+      break;
+    }
+    runs += r.runs;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(runs));
+}
+BENCHMARK(BM_DfsKsetSmallSearch)->Arg(3)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

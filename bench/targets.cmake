@@ -11,6 +11,8 @@ function(saf_add_bench name)
 endfunction()
 
 saf_add_bench(bench_sim_core)
+# The reduced-DFS search row drives the check layer.
+target_link_libraries(bench_sim_core PRIVATE saf_check)
 saf_add_bench(bench_fig1_grid)
 saf_add_bench(bench_fig1_irreducibility)
 saf_add_bench(bench_fig2_additivity)

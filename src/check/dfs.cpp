@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <numeric>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -103,7 +103,7 @@ class ChoiceEngine {
 
   /// Dispatch-order choice point: pick which of the race's same-instant
   /// pending deliveries dispatches next (an index into `race`).
-  std::size_t choose_race(const std::vector<const sim::Event*>& race) {
+  std::size_t choose_race(std::span<const sim::Event> race) {
     ++stats_->race_points;
     if (!opt_.por) return choose(race.size());
     // Persistent set: deliveries to ONE receiver form an ample set —
@@ -113,46 +113,41 @@ class ChoiceEngine {
     // the failure pattern every handler may read. In that case fall
     // back to the full race.
     bool clean = true;
-    for (const sim::Event* e : race) {
-      if (sim_->pending_send_trigger(e->to)) {
+    for (const sim::Event& e : race) {
+      if (sim_->pending_send_trigger(e.to)) {
         clean = false;
         break;
       }
     }
-    std::vector<std::size_t> ample;
-    if (clean) {
-      const ProcessId r0 = race.front()->to;
-      for (std::size_t i = 0; i < race.size(); ++i) {
-        if (race[i]->to == r0) ample.push_back(i);
-      }
-    } else {
-      ample.resize(race.size());
-      std::iota(ample.begin(), ample.end(), std::size_t{0});
+    ample_.clear();
+    const ProcessId r0 = race.front().to;
+    for (std::size_t i = 0; i < race.size(); ++i) {
+      if (!clean || race[i].to == r0) ample_.push_back(i);
     }
 #ifndef NDEBUG
     // Ample-set soundness recheck: nonempty, contains the default
-    // dispatch (so pruned/over-depth runs follow queue order), and
-    // every deferred event targets a different receiver than the
-    // ample set's.
-    SAF_CHECK(!ample.empty() && ample.front() == 0);
-    for (std::size_t i = 0, a = 0; i < race.size(); ++i) {
-      if (a < ample.size() && ample[a] == i) {
-        SAF_CHECK(race[i]->to == race[ample.front()]->to);
+    // dispatch (so pruned/over-depth runs follow queue order), and,
+    // when reduced, every deferred event targets a different receiver
+    // than the ample set's. The full race defers nothing.
+    SAF_CHECK(!ample_.empty() && ample_.front() == 0);
+    for (std::size_t i = 0, a = 0; clean && i < race.size(); ++i) {
+      if (a < ample_.size() && ample_[a] == i) {
+        SAF_CHECK(race[i].to == race[ample_.front()].to);
         ++a;
       } else {
-        SAF_CHECK(race[i]->to != race[ample.front()]->to);
+        SAF_CHECK(race[i].to != race[ample_.front()].to);
       }
     }
 #endif
     // Beyond the explored frontier the chooser degenerates to the
     // default dispatch anyway — only count reduction where branching
     // would actually have happened.
-    if (ample.size() < race.size() && !prune_rest_ &&
+    if (ample_.size() < race.size() && !prune_rest_ &&
         consumed_ < static_cast<std::size_t>(opt_.depth)) {
       ++stats_->por_points;
-      stats_->por_branches_saved += race.size() - ample.size();
+      stats_->por_branches_saved += race.size() - ample_.size();
     }
-    return ample[choose(ample.size())];
+    return ample_[choose(ample_.size())];
   }
 
   /// Moves the odometer to the next unexplored leaf; false when the
@@ -213,6 +208,7 @@ class ChoiceEngine {
   DfsStats* stats_;
   const bool hashing_;
   std::vector<StackEntry> stack_;
+  std::vector<std::size_t> ample_;  ///< choose_race scratch, reused
   /// digest -> largest remaining-depth budget fully explored (or
   /// kUnexplored when only seen).
   std::unordered_map<std::uint64_t, int> visited_;
@@ -280,7 +276,7 @@ DfsReport explore_interleavings(const Protocol& p, const ScheduleCase& base,
       ctx.on_simulator = [&eng](sim::Simulator& s) {
         eng.attach(s);
         s.set_race_chooser(
-            [&eng](const std::vector<const sim::Event*>& race) {
+            [&eng](std::span<const sim::Event> race) {
               return eng.choose_race(race);
             });
       };

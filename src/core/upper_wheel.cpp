@@ -60,13 +60,22 @@ sim::ProtocolTask UpperWheelComponent::main() {
 }
 
 bool UpperWheelComponent::on_message(const sim::Message& m) {
+  // The codec bounds ids off the wire by kMaxProcs, not by n. A message
+  // naming no process of this run is consumed and ignored: a repr >= n
+  // would count as a representative outside every leader set.
+  const auto is_peer = [this](ProcessId id) {
+    return id >= 0 && id < host_.n();
+  };
   if (const auto* inq = dynamic_cast<const InquiryMsg*>(&m)) {
     // Task T3: answer with the current lower-wheel representative.
-    host_.send_to(inq->sender, ResponseMsg{inq->attempt, my_repr_()});
+    if (is_peer(inq->sender)) {
+      host_.send_to(inq->sender, ResponseMsg{inq->attempt, my_repr_()});
+    }
     return true;
   }
   if (const auto* resp = dynamic_cast<const ResponseMsg*>(&m)) {
-    if (resp->attempt == attempt_) {
+    if (resp->attempt == attempt_ && is_peer(resp->sender) &&
+        resp->repr < host_.n()) {
       responses_.emplace_back(resp->sender, resp->repr);
     }
     return true;

@@ -39,13 +39,14 @@ ProcSet OmegaZOracle::trusted(ProcessId i, Time now) const {
     return final_set_;
   }
   // Anarchy: deterministic pseudo-random set of size in [1, z] varying
-  // with (i, now).
+  // with (i, now). A query draws about z + 1 words, so the prefix engine
+  // spares the full mt19937_64 seeding and twist (same stream).
   std::uint64_t h = util::derive_seed(params_.seed ^ 0xa5a5a5a5ULL,
                                       static_cast<std::uint64_t>(now));
   h = util::derive_seed(h, static_cast<std::uint64_t>(i));
-  util::Rng rng(h);
-  const int size = static_cast<int>(rng.uniform(1, z_));
-  return rng.subset(ProcSet::full(pattern_.n()), size);
+  util::Mt64Prefix eng(h);
+  const int size = static_cast<int>(util::uniform_in(eng, 1, z_));
+  return util::subset_of(eng, ProcSet::full(pattern_.n()), size);
 }
 
 }  // namespace saf::fd

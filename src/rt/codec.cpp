@@ -180,10 +180,14 @@ const sim::Message* stamped(util::Arena& arena, ProcessId sender, M msg) {
   return m;
 }
 
+/// Process ids index fixed-size ProcSet words and per-process tables, so
+/// an id off the wire is taken only inside [0, kMaxProcs).
+bool valid_id(ProcessId id) { return id >= 0 && id < kMaxProcs; }
+
 const sim::Message* decode_inner(Reader& r, util::Arena& arena, int depth) {
   const std::uint8_t type = r.u8();
   const auto sender = static_cast<ProcessId>(r.i32());
-  if (!r.ok) return nullptr;
+  if (!r.ok || !valid_id(sender)) return nullptr;
   switch (type) {
     case kPhase1: {
       const auto round = static_cast<int>(r.i32());
@@ -215,7 +219,7 @@ const sim::Message* decode_inner(Reader& r, util::Arena& arena, int depth) {
       if (depth > 0) return nullptr;  // envelopes never nest
       const auto origin = static_cast<ProcessId>(r.i32());
       const std::uint64_t origin_seq = r.u64();
-      if (!r.ok) return nullptr;
+      if (!r.ok || !valid_id(origin)) return nullptr;
       const sim::Message* inner = decode_inner(r, arena, depth + 1);
       if (inner == nullptr) return nullptr;
       auto* env = arena.create<sim::RbEnvelope>();
@@ -228,7 +232,7 @@ const sim::Message* decode_inner(Reader& r, util::Arena& arena, int depth) {
     case kRbAck: {
       const auto origin = static_cast<ProcessId>(r.i32());
       const std::uint64_t origin_seq = r.u64();
-      if (!r.ok) return nullptr;
+      if (!r.ok || !valid_id(origin)) return nullptr;
       auto* ack = arena.create<sim::RbAckMsg>();
       ack->sender = sender;
       ack->origin = origin;
@@ -238,7 +242,7 @@ const sim::Message* decode_inner(Reader& r, util::Arena& arena, int depth) {
     case kXMove: {
       const auto leader = static_cast<ProcessId>(r.i32());
       const ProcSet set = r.procset();
-      if (!r.ok) return nullptr;
+      if (!r.ok || !valid_id(leader)) return nullptr;
       return stamped(arena, sender, core::XMoveMsg{leader, set});
     }
     case kInquiry: {
@@ -249,7 +253,8 @@ const sim::Message* decode_inner(Reader& r, util::Arena& arena, int depth) {
     case kResponse: {
       const std::uint64_t attempt = r.u64();
       const auto repr = static_cast<ProcessId>(r.i32());
-      if (!r.ok) return nullptr;
+      // -1: the responder has no representative yet.
+      if (!r.ok || (repr != -1 && !valid_id(repr))) return nullptr;
       return stamped(arena, sender, core::ResponseMsg{attempt, repr});
     }
     case kLMove: {

@@ -47,33 +47,28 @@ Event EventQueue::pop() {
   return e;
 }
 
-// The ready-run introspection below relies on the bucket invariant: a
-// non-empty bucket inside the window holds events of exactly one instant
-// (pushes append to the bucket of their instant, buckets are cleared
-// when drained, and pushes beyond the window go to the overflow heap),
-// so after advance_to_min() the unpopped tail of bucket_at(cursor_) IS
-// the full set of minimum-instant events, in seq order.
+// ready() and pop_ready() rely on the bucket invariant: a non-empty
+// bucket inside the window holds events of exactly one instant (pushes
+// append to the bucket of their instant, buckets are cleared when
+// drained, and pushes beyond the window go to the overflow heap), so
+// after advance_to_min() the unpopped tail of bucket_at(cursor_) IS the
+// full set of minimum-instant events, in seq order.
 
-std::size_t EventQueue::ready_count() {
+std::span<const Event> EventQueue::ready() {
   advance_to_min();
-  const Bucket& b = ring_[static_cast<std::size_t>(cursor_ & kMask)];
-  return b.events.size() - b.head;
-}
-
-const Event& EventQueue::ready_at(std::size_t i) {
-  advance_to_min();
-  Bucket& b = bucket_at(cursor_);
-  SAF_CHECK_MSG(b.head + i < b.events.size(), "ready_at: index out of range");
-  return b.events[b.head + i];
+  const Bucket& b = bucket_at(cursor_);
+  return std::span<const Event>(b.events).subspan(b.head);
 }
 
 Event EventQueue::pop_ready(std::size_t i) {
   advance_to_min();
   Bucket& b = bucket_at(cursor_);
   SAF_CHECK_MSG(b.head + i < b.events.size(), "pop_ready: index out of range");
-  Event e = std::move(b.events[b.head + i]);
-  b.events.erase(b.events.begin() +
-                 static_cast<std::ptrdiff_t>(b.head + i));
+  const auto first = b.events.begin() + static_cast<std::ptrdiff_t>(b.head);
+  const auto pick = first + static_cast<std::ptrdiff_t>(i);
+  Event e = std::move(*pick);
+  std::move_backward(first, pick, pick + 1);
+  ++b.head;
   --size_;
   return e;
 }

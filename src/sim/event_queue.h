@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "util/types.h"
@@ -82,17 +83,15 @@ class EventQueue {
   /// Removes and returns the minimum event. Requires !empty().
   Event pop();
 
-  /// Number of pending events at the minimum instant — the "ready run"
-  /// the DFS race chooser picks from. Requires !empty().
-  std::size_t ready_count();
-
-  /// The i-th ready event in seq order. Requires i < ready_count(). The
-  /// reference is invalidated by the next push/pop.
-  const Event& ready_at(std::size_t i);
+  /// The pending events at the minimum instant, in seq order — the
+  /// "ready run" the DFS race chooser picks from. Requires !empty(). The
+  /// span is invalidated by the next push/pop.
+  std::span<const Event> ready();
 
   /// Removes and returns the i-th ready event (out-of-order dispatch
-  /// within the instant — the race chooser's seam; events after i keep
-  /// their relative seq order). Requires i < ready_count().
+  /// within the instant — the race chooser's seam; the other ready
+  /// events keep their relative seq order). The i events before it move
+  /// up one slot, so pop_ready(0) is pop(). Requires i < ready().size().
   Event pop_ready(std::size_t i);
 
   /// Invokes fn(const Event&) on every pending event, in no particular

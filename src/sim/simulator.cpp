@@ -339,17 +339,15 @@ Event Simulator::pop_next_event() {
   // events consisting of unicast deliveries. A closure (start, tick,
   // crash, wake) or an aggregated broadcast ends the prefix and acts as
   // a barrier — everything behind it dispatches in seq order.
-  const std::size_t ready = queue_.ready_count();
-  race_scratch_.clear();
-  for (std::size_t i = 0; i < ready; ++i) {
-    const Event& ev = queue_.ready_at(i);
-    if (ev.msg == nullptr || ev.to < 0) break;
-    race_scratch_.push_back(&ev);
+  const std::span<const Event> ready = queue_.ready();
+  std::size_t race = 0;
+  while (race < ready.size() && ready[race].msg != nullptr &&
+         ready[race].to >= 0) {
+    ++race;
   }
-  if (race_scratch_.size() < 2) return queue_.pop();
-  const std::size_t idx = race_chooser_(race_scratch_);
-  SAF_CHECK_MSG(idx < race_scratch_.size(),
-                "race chooser returned an out-of-range index");
+  if (race < 2) return queue_.pop();
+  const std::size_t idx = race_chooser_(ready.first(race));
+  SAF_CHECK_MSG(idx < race, "race chooser returned an out-of-range index");
   return queue_.pop_ready(idx);
 }
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/delay_policy.h"
@@ -37,10 +38,9 @@ using DeliveryObserver =
 /// Chooser for the DFS checker's dispatch-order exploration: given the
 /// maximal prefix of same-instant pending unicast deliveries (the "race
 /// set", in seq order), returns the index to dispatch next. Consulted
-/// only when the race set has at least two members; the events live in
-/// the queue, so the chooser must not schedule or pop.
-using RaceChooser =
-    std::function<std::size_t(const std::vector<const Event*>& race)>;
+/// only when the race set has at least two members; the span views the
+/// queue's own storage, so the chooser must not schedule or pop.
+using RaceChooser = std::function<std::size_t(std::span<const Event> race)>;
 
 struct SimConfig {
   std::uint64_t seed = 1;
@@ -268,7 +268,6 @@ class Simulator {
   std::vector<std::uint64_t> sends_by_;
   DeliveryObserver delivery_observer_;
   RaceChooser race_chooser_;
-  std::vector<const Event*> race_scratch_;
   trace::Tracer tracer_;
   /// Message arena generations: generation g lives in gens_[g & 1], so
   /// the current and the previous generation are live at any time.

@@ -355,21 +355,29 @@ RegressionReport compare_benchmarks(const FlatJson& baseline,
   return report;
 }
 
-RegressionReport compare_checksums(const FlatIntegers& baseline,
-                                   const FlatIntegers& current) {
+RegressionReport compare_exact(
+    const FlatIntegers& baseline, const FlatIntegers& current,
+    const std::function<bool(std::string_view key)>& pick) {
   RegressionReport report;
   for (const auto& [key, base] : baseline) {
-    if (!ends_with(key, "digest_checksum")) continue;
+    if (!pick(key)) continue;
     const auto it = current.find(key);
     if (it == current.end()) {
       report.missing.push_back(key);
     } else if (it->second != base) {
       report.regressions.push_back(key + ": " + std::to_string(base) +
                                    " -> " + std::to_string(it->second) +
-                                   " (checksum differs)");
+                                   " (must equal the baseline)");
     }
   }
   return report;
+}
+
+RegressionReport compare_checksums(const FlatIntegers& baseline,
+                                   const FlatIntegers& current) {
+  return compare_exact(baseline, current, [](std::string_view key) {
+    return ends_with(key, "digest_checksum");
+  });
 }
 
 }  // namespace saf::sweep

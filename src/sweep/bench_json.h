@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -86,10 +87,16 @@ RegressionReport compare_benchmarks(const FlatJson& baseline,
                                     const FlatJson& current,
                                     double tolerance);
 
+/// Exact gate: every baseline key that `pick` selects must be present in
+/// the current run and equal. For machine-independent values (digests,
+/// explored-tree sizes) any difference is a behaviour change, not noise.
+RegressionReport compare_exact(
+    const FlatIntegers& baseline, const FlatIntegers& current,
+    const std::function<bool(std::string_view key)>& pick);
+
 /// Exact gate used by CI next to compare_benchmarks: every baseline
-/// "*digest_checksum" must be present in the current run and equal.
-/// A checksum pins a workload's run outcomes (decisions, times, event
-/// counts), so any difference is a behaviour change, not noise.
+/// "*digest_checksum". A checksum pins a workload's run outcomes
+/// (decisions, times, event counts).
 RegressionReport compare_checksums(const FlatIntegers& baseline,
                                    const FlatIntegers& current);
 

@@ -28,8 +28,7 @@ std::uint64_t derive_seed(std::uint64_t parent, std::uint64_t salt) {
 }
 
 std::int64_t Rng::uniform(std::int64_t lo, std::int64_t hi) {
-  SAF_CHECK(lo <= hi);
-  return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+  return uniform_in(engine_, lo, hi);
 }
 
 double Rng::uniform01() {
@@ -45,16 +44,7 @@ std::size_t Rng::index(std::size_t size) {
 }
 
 ProcSet Rng::subset(ProcSet universe, int k) {
-  SAF_CHECK(k >= 0 && k <= universe.size());
-  std::vector<ProcessId> ids = universe.to_vector();
-  // Partial Fisher-Yates: pick k distinct positions.
-  ProcSet out;
-  for (int i = 0; i < k; ++i) {
-    std::size_t j = i + index(ids.size() - static_cast<std::size_t>(i));
-    std::swap(ids[static_cast<std::size_t>(i)], ids[j]);
-    out.insert(ids[static_cast<std::size_t>(i)]);
-  }
-  return out;
+  return subset_of(engine_, universe, k);
 }
 
 Rng Rng::split(std::string_view label) {
@@ -62,5 +52,31 @@ Rng Rng::split(std::string_view label) {
 }
 
 Rng Rng::split(std::uint64_t salt) { return Rng(derive_seed(engine_(), salt)); }
+
+Mt64Prefix::result_type Mt64Prefix::operator()() {
+  if (drawn_ < kN - kM) {
+    const std::size_t j = drawn_++;
+    // std::mt19937_64's seeding recurrence, up to the words output j reads.
+    for (; seeded_ <= j + kM; ++seeded_) {
+      const std::uint64_t p = x_[seeded_ - 1];
+      x_[seeded_] = 6364136223846793005ULL * (p ^ (p >> 62)) + seeded_;
+    }
+    // Its twist (upper 33 bits of word j, lower 31 of word j+1) ...
+    const std::uint64_t y =
+        (x_[j] & ~0x7fffffffULL) | (x_[j + 1] & 0x7fffffffULL);
+    std::uint64_t z =
+        x_[j + kM] ^ (y >> 1) ^ ((y & 1) != 0 ? 0xb5026f5aa96619e9ULL : 0);
+    // ... and its tempering.
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+  if (!full_) {
+    full_.emplace(x_[0]);
+    full_->discard(kN - kM);
+  }
+  return (*full_)();
+}
 
 }  // namespace saf::util

@@ -6,11 +6,14 @@
 // consumer of randomness in one component never perturbs another.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string_view>
 #include <vector>
 
+#include "util/check.h"
 #include "util/types.h"
 
 namespace saf::util {
@@ -18,6 +21,57 @@ namespace saf::util {
 /// Mixes a parent seed with a label into a child seed (splitmix64-style).
 std::uint64_t derive_seed(std::uint64_t parent, std::string_view label);
 std::uint64_t derive_seed(std::uint64_t parent, std::uint64_t salt);
+
+/// Uniform integer in [lo, hi] inclusive drawn from `engine` (any
+/// 64-bit URBG). Requires lo <= hi. The one sampling path behind Rng and
+/// Mt64Prefix: both engines yield the same words, so both draw the same.
+template <typename Engine>
+std::int64_t uniform_in(Engine& engine, std::int64_t lo, std::int64_t hi) {
+  SAF_CHECK(lo <= hi);
+  return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine);
+}
+
+/// A uniformly random subset of `universe` of exactly `k` elements,
+/// drawn from `engine` by a partial Fisher-Yates shuffle.
+template <typename Engine>
+ProcSet subset_of(Engine& engine, ProcSet universe, int k) {
+  SAF_CHECK(k >= 0 && k <= universe.size());
+  std::vector<ProcessId> ids = universe.to_vector();
+  ProcSet out;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(k); ++i) {
+    const auto j = i + static_cast<std::size_t>(uniform_in(
+                           engine, 0,
+                           static_cast<std::int64_t>(ids.size() - i) - 1));
+    std::swap(ids[i], ids[j]);
+    out.insert(ids[i]);
+  }
+  return out;
+}
+
+/// Exactly the stream of std::mt19937_64(seed), for streams that draw a
+/// few words and die (one Ω_z anarchy query). The full engine seeds all
+/// 312 state words and twists them before its first output; output
+/// j < 156 of that twist reads only seeded words j, j+1 and j+156, so
+/// this engine seeds lazily up to word j+156 and twists nothing. Past
+/// output 155 it falls back to a full engine.
+class Mt64Prefix {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt64Prefix(std::uint64_t seed) { x_[0] = seed; }
+
+  result_type operator()();
+
+ private:
+  static constexpr std::size_t kN = 312;  // mt19937_64 state words
+  static constexpr std::size_t kM = 156;  // its twist offset
+  std::uint64_t x_[kN];                   // seeded words [0, seeded_)
+  std::size_t seeded_ = 1;
+  std::size_t drawn_ = 0;
+  std::optional<std::mt19937_64> full_;
+};
 
 /// A seeded random stream. Thin wrapper over mt19937_64 with the sampling
 /// helpers the simulator needs.

@@ -298,6 +298,23 @@ TEST(DfsReductionRace, KsetTinyAllReductionsMatchBrute) {
   }
 }
 
+TEST(DfsReductionRace, PorBacksOffToTheFullRaceUnderSendTriggeredCrash) {
+  // A pending send-triggered crash makes deliveries to distinct
+  // receivers dependent, so POR must branch over the whole race there
+  // (and its Debug recheck must accept that race) and still match brute.
+  for (const std::uint64_t sends : {1, 3, 6}) {
+    ScheduleCase c;
+    c.crashes.crash_after_sends(1, sends);
+    const DfsReport brute =
+        explore_interleavings(kset_tiny(), c, race_opt(3, false, false, false));
+    const DfsReport por =
+        explore_interleavings(kset_tiny(), c, race_opt(3, false, false, true));
+    expect_equivalent(brute, por,
+                      "kset-tiny race depth=3 por, p1 crashes after " +
+                          std::to_string(sends) + " sends");
+  }
+}
+
 TEST(DfsReductionRace, KsetSmallHashAloneAndCombinedMatchBrute) {
   const Protocol* p = find_protocol("kset-small");
   ASSERT_NE(p, nullptr);

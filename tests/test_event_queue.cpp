@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -165,6 +166,49 @@ TEST(EventQueue, DifferentialRandomAgainstReferenceModel) {
       }
     }
     EXPECT_EQ(drain(q), sorted(keys)) << "trial " << trial;
+  }
+}
+
+TEST(EventQueue, ReadyRunPopsAgainstReferenceModel) {
+  // The race chooser's seam: ready() must be exactly the minimum
+  // instant's events in seq order, and pop_ready(i) must remove the
+  // i-th (i = 0 is the pop() path) and leave the rest in order. The
+  // reference is the stable-sort model with the same picks applied.
+  for (std::uint64_t trial = 0; trial < 20; ++trial) {
+    util::Rng rng(3000 + trial);
+    EventQueue q;
+    std::vector<std::pair<Time, std::uint64_t>> ref;  // kept sorted
+    std::uint64_t seq = 0;
+    auto push = [&](Time t) {
+      const std::pair<Time, std::uint64_t> k{t, seq};
+      ref.insert(std::upper_bound(ref.begin(), ref.end(), k), k);
+      q.push(ev(t, seq++));
+    };
+    for (int i = 0; i < 64; ++i) push(rng.uniform(0, 6));
+    std::vector<std::pair<Time, std::uint64_t>> popped, expected;
+    while (!q.empty()) {
+      const std::span<const Event> ready = q.ready();
+      std::size_t run = 0;
+      while (run < ref.size() && ref[run].first == ref.front().first) ++run;
+      ASSERT_EQ(ready.size(), run);
+      for (std::size_t k = 0; k < run; ++k) {
+        ASSERT_EQ(std::make_pair(ready[k].time, ready[k].seq), ref[k]);
+      }
+      const std::size_t i = rng.flip(0.3) ? 0 : rng.index(run);
+      const Event e = q.pop_ready(i);
+      popped.emplace_back(e.time, e.seq);
+      expected.push_back(ref[i]);
+      ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
+      if (seq < 3'000) {
+        // Same-instant follow-ups land behind the moved-up prefix;
+        // occasional far timers cross the window into the overflow.
+        if (rng.flip(0.4)) push(e.time);
+        push(e.time + (rng.flip(0.05) ? rng.uniform(1500, 40'000)
+                                      : rng.uniform(1, 4)));
+      }
+    }
+    EXPECT_EQ(popped, expected) << "trial " << trial;
+    EXPECT_TRUE(ref.empty());
   }
 }
 

@@ -9,6 +9,7 @@
 #include "fd/query_oracles.h"
 #include "fd/suspect_oracles.h"
 #include "sim/failure_pattern.h"
+#include "util/rng.h"
 
 namespace saf::fd {
 namespace {
@@ -119,6 +120,44 @@ TEST(OmegaOracle, PerfectVariantIsConstantFromTimeZero) {
   for (Time tau = 0; tau < 100; ++tau) {
     for (ProcessId i = 0; i < 5; ++i) {
       EXPECT_EQ(oracle.trusted(i, tau), oracle.final_set());
+    }
+  }
+}
+
+/// An anarchy answer drawn the way OmegaZOracle drew it before its
+/// prefix engine: a full util::Rng per query.
+ProcSet reference_anarchy_set(std::uint64_t seed, ProcessId i, Time now,
+                              int z, int n) {
+  std::uint64_t h = util::derive_seed(seed ^ 0xa5a5a5a5ULL,
+                                      static_cast<std::uint64_t>(now));
+  h = util::derive_seed(h, static_cast<std::uint64_t>(i));
+  util::Rng rng(h);
+  const int size = static_cast<int>(rng.uniform(1, z));
+  return rng.subset(ProcSet::full(n), size);
+}
+
+TEST(OmegaOracle, AnarchyAnswersEqualTheFullEngineReference) {
+  // Sizes z > 155 draw past the prefix engine's hand-over to the full
+  // engine; small z stay inside the prefix.
+  for (const int n : {4, 64, 1024}) {
+    const auto fp = make_pattern(n, n / 2, {});
+    for (const int z : {1, 2, 3, n / 2, n}) {
+      if (z > n) continue;
+      for (const std::uint64_t seed : {1ULL, 7ULL, 11ULL, 0xdeadbeefULL}) {
+        OmegaOracleParams params;
+        params.stab_time = 1'000'000;
+        params.seed = seed;
+        const OmegaZOracle oracle(fp, z, params);
+        for (const ProcessId i : {0, 1, n / 2, n - 1}) {
+          for (const Time now : {Time{0}, Time{1}, Time{37}, Time{4999},
+                                 Time{999'999}}) {
+            ASSERT_EQ(oracle.trusted(i, now),
+                      reference_anarchy_set(seed, i, now, z, n))
+                << "n=" << n << " z=" << z << " seed=" << seed
+                << " i=" << i << " now=" << now;
+          }
+        }
+      }
     }
   }
 }

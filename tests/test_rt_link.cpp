@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -822,6 +823,80 @@ TEST(Codec, ProcSetWordArrayRejectsTruncationAndOverflow) {
   big[9] = static_cast<std::uint8_t>(ProcSet::word_count() + 1);
   big.insert(big.end(), 64, 0xFF);  // plenty of trailing "words"
   EXPECT_EQ(decode_message(big.data(), big.size(), arena), nullptr);
+}
+
+// Ids off the wire index ProcSet words and per-process tables, so a
+// forged sender, RB origin, XMove leader or Response repr outside the
+// id range must drop the datagram, never reach a consumer.
+TEST(Codec, ForgedProcessIdsAreDropped) {
+  util::Arena arena;
+  const auto with_i32_at = [](std::vector<std::uint8_t> buf,
+                              std::size_t offset, std::int32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      buf[offset + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(static_cast<std::uint32_t>(v) >> (8 * i));
+    }
+    return buf;
+  };
+  const auto decodes = [&arena](const std::vector<std::uint8_t>& buf) {
+    return decode_message(buf.data(), buf.size(), arena) != nullptr;
+  };
+  const std::int32_t forged[] = {-1, -2, kMaxProcs, kMaxProcs + 1,
+                                 std::numeric_limits<std::int32_t>::min(),
+                                 std::numeric_limits<std::int32_t>::max()};
+
+  // Offsets: type(1) sender(4) then the fields in encode order.
+  std::vector<std::uint8_t> p1;
+  core::Phase1Msg ph1{1, ProcSet{0, 1}, 5, 0};
+  ph1.sender = 2;
+  ASSERT_TRUE(encode_message(ph1, &p1));
+
+  core::Phase2Msg ph2{1, 7, 0};
+  ph2.sender = 1;
+  sim::RbEnvelope env;
+  env.sender = 3;
+  env.origin = 1;
+  env.origin_seq = 4;
+  env.inner = &ph2;
+  std::vector<std::uint8_t> rb;
+  ASSERT_TRUE(encode_message(env, &rb));
+  const std::size_t inner_sender = 1 + 4 + 4 + 8 + 1;
+
+  sim::RbAckMsg ack;
+  ack.sender = 0;
+  ack.origin = 1;
+  ack.origin_seq = 4;
+  std::vector<std::uint8_t> rb_ack;
+  ASSERT_TRUE(encode_message(ack, &rb_ack));
+
+  core::XMoveMsg mv{2, ProcSet{1, 2}};
+  mv.sender = 1;
+  std::vector<std::uint8_t> xmove;
+  ASSERT_TRUE(encode_message(mv, &xmove));
+
+  core::ResponseMsg resp{9, 3};
+  resp.sender = 1;
+  std::vector<std::uint8_t> response;
+  ASSERT_TRUE(encode_message(resp, &response));
+  const std::size_t repr_at = 1 + 4 + 8;
+
+  for (const auto* buf : {&p1, &rb, &rb_ack, &xmove, &response}) {
+    ASSERT_TRUE(decodes(*buf));
+    EXPECT_TRUE(decodes(with_i32_at(*buf, 1, kMaxProcs - 1)));
+  }
+  for (const std::int32_t id : forged) {
+    SCOPED_TRACE(id);
+    for (const auto* buf : {&p1, &rb, &rb_ack, &xmove, &response}) {
+      EXPECT_FALSE(decodes(with_i32_at(*buf, 1, id)));  // sender
+    }
+    EXPECT_FALSE(decodes(with_i32_at(rb, 5, id)));             // RB origin
+    EXPECT_FALSE(decodes(with_i32_at(rb, inner_sender, id)));  // inner sender
+    EXPECT_FALSE(decodes(with_i32_at(rb_ack, 5, id)));         // ack origin
+    EXPECT_FALSE(decodes(with_i32_at(xmove, 5, id)));          // leader
+    // A Response may carry repr -1 ("no representative yet").
+    EXPECT_EQ(decodes(with_i32_at(response, repr_at, id)), id == -1);
+  }
+  EXPECT_TRUE(decodes(with_i32_at(response, repr_at, kMaxProcs - 1)));
 }
 
 }  // namespace

@@ -291,5 +291,29 @@ TEST(BenchJson, ChecksumGateIsExact) {
   EXPECT_FALSE(gone.ok());
 }
 
+TEST(BenchJson, ExactGateComparesOnlyPickedKeys) {
+  // bench_dfs pins its explored-tree sizes this way.
+  const FlatIntegers base = parse_json_integers(
+      "{\"equal_depth\": {\"brute_runs\": 3360, \"reduced_runs\": 37,"
+      " \"depth\": 3}}");
+  const auto tree = [](std::string_view key) {
+    return key == "equal_depth.brute_runs" ||
+           key == "equal_depth.reduced_runs";
+  };
+  EXPECT_TRUE(compare_exact(base, base, tree).ok());
+  const RegressionReport grown = compare_exact(
+      base, parse_json_integers("{\"equal_depth\": {\"brute_runs\": 3360,"
+                                " \"reduced_runs\": 38, \"depth\": 4}}"),
+      tree);
+  ASSERT_EQ(grown.regressions.size(), 1u);
+  EXPECT_NE(grown.regressions[0].find("equal_depth.reduced_runs"),
+            std::string::npos);
+  const RegressionReport gone = compare_exact(
+      base, parse_json_integers("{\"equal_depth\": {\"reduced_runs\": 37}}"),
+      tree);
+  ASSERT_EQ(gone.missing.size(), 1u);
+  EXPECT_EQ(gone.missing[0], "equal_depth.brute_runs");
+}
+
 }  // namespace
 }  // namespace saf::sweep

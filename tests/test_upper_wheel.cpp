@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "core/upper_wheel.h"
 #include "fd/checkers.h"
@@ -45,7 +46,7 @@ struct World {
   std::unique_ptr<fd::PhiOracle> phi;
   std::unique_ptr<util::SubsetPairRing> ring;
   std::unique_ptr<fd::EmulatedLeaderStore> store;
-  std::vector<const UpperOnlyProcess*> procs;
+  std::vector<UpperOnlyProcess*> procs;
 };
 
 World make_world(int n, int t, int y, int z,
@@ -124,6 +125,31 @@ TEST(UpperWheelStandalone, FullyCrashedQueryRegionTriggersCaseA) {
   const ProcSet correct = w.sim->pattern().correct_at_end(w.sim->horizon());
   EXPECT_TRUE(w.store->get(2).subset_of(correct) ||
               w.store->get(2).intersects(correct));
+}
+
+TEST(UpperWheelStandalone, ResponsesNamingNoProcessAreIgnored) {
+  // A decoded ResponseMsg may carry ids up to kMaxProcs; one whose
+  // sender or repr names no process of the run must leave the wheel's
+  // state untouched, whatever attempt it claims.
+  const int n = 6, t = 2, y = 1, z = 2;
+  std::vector<ProcessId> reprs{0, 1, 2, 3, 4, 5};
+  auto w = make_world(n, t, y, z, reprs, {}, 3);
+  w.sim->pump(300);
+  UpperOnlyProcess& p = *w.procs[2];
+  sim::StateDigest before;
+  p.upper().state_digest(before);
+  for (std::uint64_t attempt = 0; attempt < 1000; ++attempt) {
+    for (const auto& [sender, repr] :
+         {std::pair{0, n}, std::pair{0, kMaxProcs - 1},
+          std::pair{n, 0}, std::pair{kMaxProcs - 1, 1}}) {
+      ResponseMsg forged(attempt, repr);
+      forged.sender = sender;
+      p.on_message(forged);
+    }
+  }
+  sim::StateDigest after;
+  p.upper().state_digest(after);
+  EXPECT_EQ(before.value(), after.value());
 }
 
 TEST(UpperWheelStandalone, RejectsBadInquiryPeriod) {

@@ -2,7 +2,9 @@
 // step traces, and summary statistics.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
+#include <vector>
 
 #include "util/combinatorics.h"
 #include "util/ring.h"
@@ -74,6 +76,25 @@ TEST(Rng, SubsetHasRequestedSizeAndStaysInUniverse) {
 TEST(Rng, DerivedSeedsDifferByLabel) {
   EXPECT_NE(util::derive_seed(1, "network"), util::derive_seed(1, "oracle"));
   EXPECT_NE(util::derive_seed(1, "x"), util::derive_seed(2, "x"));
+}
+
+TEST(Mt64Prefix, EqualsMt19937_64WordForWord) {
+  // Output 155 is the last the lazy prefix computes itself; from 156 on
+  // it hands over to a full engine. The draw counts cycle through
+  // 1..700, so stops on both sides of that edge (and on it) are covered.
+  std::vector<std::uint64_t> seeds{0, 1, ~0ULL, 1ULL << 63,
+                                   std::mt19937_64::default_seed};
+  for (std::uint64_t s = 0; s < 10'000; ++s) {
+    seeds.push_back(s % 2 == 0 ? s : util::derive_seed(s, "mt"));
+  }
+  for (std::size_t k = 0; k < seeds.size(); ++k) {
+    util::Mt64Prefix fast(seeds[k]);
+    std::mt19937_64 ref(seeds[k]);
+    const std::size_t draws = 1 + (k * 37) % 700;
+    for (std::size_t d = 0; d < draws; ++d) {
+      ASSERT_EQ(fast(), ref()) << "seed " << seeds[k] << " draw " << d;
+    }
+  }
 }
 
 TEST(Combinatorics, BinomialTable) {
