@@ -173,7 +173,7 @@ RunOutcome run_two_wheels_case(const TwoWheelsProtocolSpec& spec,
 
 // --- built-in protocol: phibar -> omega (Appendix A) -------------------
 
-struct BeatMsg final : sim::Message {
+struct BeatMsg final : sim::MessageOf<BeatMsg> {
   std::string_view tag() const override { return "beat"; }
 };
 

@@ -36,7 +36,7 @@ sim::ProtocolTask AdditionMpProcess::heartbeat_task() {
 }
 
 void AdditionMpProcess::on_message(const sim::Message& m) {
-  const auto* hb = dynamic_cast<const HeartbeatMsg*>(&m);
+  const auto* hb = sim::msg_cast<HeartbeatMsg>(m);
   if (hb == nullptr) return;
   const auto s = static_cast<std::size_t>(hb->sender);
   // Channels are not FIFO: keep only the freshest heartbeat.

@@ -29,7 +29,7 @@
 
 namespace saf::core {
 
-struct HeartbeatMsg final : sim::Message {
+struct HeartbeatMsg final : sim::MessageOf<HeartbeatMsg> {
   HeartbeatMsg(std::uint64_t c, ProcSet s) : counter(c), suspects(s) {}
   std::string_view tag() const override { return "heartbeat"; }
   std::uint64_t counter;

@@ -66,19 +66,19 @@ sim::ProtocolTask DiamondSConsensusProcess::main() {
 }
 
 void DiamondSConsensusProcess::on_message(const sim::Message& m) {
-  if (const auto* c = dynamic_cast<const CoordMsg*>(&m)) {
+  if (const auto* c = sim::msg_cast<CoordMsg>(m)) {
     if (c->sender == c->round % n()) {
       coord_value_.emplace(c->round, c->est);
     }
     return;
   }
-  if (const auto* e = dynamic_cast<const EchoMsg*>(&m)) {
+  if (const auto* e = sim::msg_cast<EchoMsg>(m)) {
     echoes_[e->round].push_back(e->aux);
   }
 }
 
 void DiamondSConsensusProcess::on_rdeliver(const sim::Message& m) {
-  const auto* d = dynamic_cast<const ConsensusDecisionMsg*>(&m);
+  const auto* d = sim::msg_cast<ConsensusDecisionMsg>(m);
   if (d == nullptr) return;
   if (!decided_) {
     decided_ = true;

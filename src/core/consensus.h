@@ -25,21 +25,21 @@
 
 namespace saf::core {
 
-struct CoordMsg final : sim::Message {
+struct CoordMsg final : sim::MessageOf<CoordMsg> {
   CoordMsg(int r, std::int64_t v) : round(r), est(v) {}
   std::string_view tag() const override { return "coord"; }
   int round;
   std::int64_t est;
 };
 
-struct EchoMsg final : sim::Message {
+struct EchoMsg final : sim::MessageOf<EchoMsg> {
   EchoMsg(int r, std::int64_t a) : round(r), aux(a) {}
   std::string_view tag() const override { return "echo"; }
   int round;
   std::int64_t aux;  ///< INT64_MIN encodes bottom
 };
 
-struct ConsensusDecisionMsg final : sim::Message {
+struct ConsensusDecisionMsg final : sim::MessageOf<ConsensusDecisionMsg> {
   explicit ConsensusDecisionMsg(std::int64_t v) : value(v) {}
   std::string_view tag() const override { return "cons_decision"; }
   std::int64_t value;

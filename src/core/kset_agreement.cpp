@@ -185,7 +185,7 @@ void KSetCore::state_digest(sim::StateDigest& d) const {
 }
 
 bool KSetCore::on_message(const sim::Message& m) {
-  if (const auto* p1 = dynamic_cast<const Phase1Msg*>(&m)) {
+  if (const auto* p1 = sim::msg_cast<Phase1Msg>(m)) {
     if (p1->instance != instance_) return false;
     // A wire sender outside the run names no process; drop it rather
     // than index the sender set with it.
@@ -194,7 +194,7 @@ bool KSetCore::on_message(const sim::Message& m) {
     phase1_senders_[p1->round].insert(p1->sender);
     return true;
   }
-  if (const auto* p2 = dynamic_cast<const Phase2Msg*>(&m)) {
+  if (const auto* p2 = sim::msg_cast<Phase2Msg>(m)) {
     if (p2->instance != instance_) return false;
     phase2_[p2->round].push_back({p2->sender, p2->aux});
     return true;
@@ -203,7 +203,7 @@ bool KSetCore::on_message(const sim::Message& m) {
 }
 
 bool KSetCore::on_rdeliver(const sim::Message& m) {
-  const auto* d = dynamic_cast<const DecisionMsg*>(&m);
+  const auto* d = sim::msg_cast<DecisionMsg>(m);
   if (d == nullptr || d->instance != instance_) return false;
   if (!decided_) {
     decided_ = true;

@@ -39,7 +39,7 @@ inline constexpr std::int64_t kNoValue = INT64_MIN;
 // Phase messages put their two ints first: they pack right after the
 // 16-byte Message header, which keeps the copies the service buffers
 // for future instances as small as the payload allows.
-struct Phase1Msg final : sim::Message {
+struct Phase1Msg final : sim::MessageOf<Phase1Msg> {
   Phase1Msg(int r, ProcSet l, std::int64_t e, int inst = 0)
       : round(r), instance(inst), leaders(l), est(e) {}
   std::string_view tag() const override { return "phase1"; }
@@ -58,7 +58,7 @@ struct Phase1Msg final : sim::Message {
   std::int64_t est;
 };
 
-struct Phase2Msg final : sim::Message {
+struct Phase2Msg final : sim::MessageOf<Phase2Msg> {
   Phase2Msg(int r, std::int64_t a, int inst = 0)
       : round(r), instance(inst), aux(a) {}
   std::string_view tag() const override { return "phase2"; }
@@ -75,7 +75,7 @@ struct Phase2Msg final : sim::Message {
   std::int64_t aux;  ///< kNoValue encodes bottom
 };
 
-struct DecisionMsg final : sim::Message {
+struct DecisionMsg final : sim::MessageOf<DecisionMsg> {
   explicit DecisionMsg(std::int64_t v, int inst = 0)
       : value(v), instance(inst) {}
   std::string_view tag() const override { return "decision"; }

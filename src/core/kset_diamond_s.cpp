@@ -79,19 +79,19 @@ sim::ProtocolTask DiamondSKSetProcess::main() {
 }
 
 void DiamondSKSetProcess::on_message(const sim::Message& m) {
-  if (const auto* ce = dynamic_cast<const KCoordEstMsg*>(&m)) {
+  if (const auto* ce = sim::msg_cast<KCoordEstMsg>(m)) {
     if (coordinators(ce->round).contains(ce->sender)) {
       coord_ests_[ce->round].push_back(ce->est);
     }
     return;
   }
-  if (const auto* e = dynamic_cast<const KEchoMsg*>(&m)) {
+  if (const auto* e = sim::msg_cast<KEchoMsg>(m)) {
     echoes_[e->round].push_back(e->aux);
   }
 }
 
 void DiamondSKSetProcess::on_rdeliver(const sim::Message& m) {
-  const auto* d = dynamic_cast<const KDecisionMsg*>(&m);
+  const auto* d = sim::msg_cast<KDecisionMsg>(m);
   if (d == nullptr) return;
   if (!decided_) {
     decided_ = true;

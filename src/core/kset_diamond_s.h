@@ -30,21 +30,21 @@
 
 namespace saf::core {
 
-struct KCoordEstMsg final : sim::Message {
+struct KCoordEstMsg final : sim::MessageOf<KCoordEstMsg> {
   KCoordEstMsg(int r, std::int64_t v) : round(r), est(v) {}
   std::string_view tag() const override { return "kcoord_est"; }
   int round;
   std::int64_t est;
 };
 
-struct KEchoMsg final : sim::Message {
+struct KEchoMsg final : sim::MessageOf<KEchoMsg> {
   KEchoMsg(int r, std::int64_t a) : round(r), aux(a) {}
   std::string_view tag() const override { return "kecho"; }
   int round;
   std::int64_t aux;  ///< INT64_MIN encodes bottom
 };
 
-struct KDecisionMsg final : sim::Message {
+struct KDecisionMsg final : sim::MessageOf<KDecisionMsg> {
   explicit KDecisionMsg(std::int64_t v) : value(v) {}
   std::string_view tag() const override { return "kdecision"; }
   std::int64_t value;

@@ -36,7 +36,7 @@ void LowerWheelComponent::tick() {
 }
 
 bool LowerWheelComponent::on_rdeliver(const sim::Message& m) {
-  const auto* mv = dynamic_cast<const XMoveMsg*>(&m);
+  const auto* mv = sim::msg_cast<XMoveMsg>(m);
   if (mv == nullptr) return false;
   ++pending_[key(mv->leader, mv->set)];
   drain();

@@ -28,7 +28,7 @@
 
 namespace saf::core {
 
-struct XMoveMsg final : sim::Message {
+struct XMoveMsg final : sim::MessageOf<XMoveMsg> {
   XMoveMsg(ProcessId l, ProcSet s) : leader(l), set(s) {}
   std::string_view tag() const override { return "x_move"; }
   void digest_into(sim::StateDigest& d) const override {

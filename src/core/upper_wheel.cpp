@@ -66,14 +66,14 @@ bool UpperWheelComponent::on_message(const sim::Message& m) {
   const auto is_peer = [this](ProcessId id) {
     return id >= 0 && id < host_.n();
   };
-  if (const auto* inq = dynamic_cast<const InquiryMsg*>(&m)) {
+  if (const auto* inq = sim::msg_cast<InquiryMsg>(m)) {
     // Task T3: answer with the current lower-wheel representative.
     if (is_peer(inq->sender)) {
       host_.send_to(inq->sender, ResponseMsg{inq->attempt, my_repr_()});
     }
     return true;
   }
-  if (const auto* resp = dynamic_cast<const ResponseMsg*>(&m)) {
+  if (const auto* resp = sim::msg_cast<ResponseMsg>(m)) {
     if (resp->attempt == attempt_ && is_peer(resp->sender) &&
         resp->repr < host_.n()) {
       responses_.emplace_back(resp->sender, resp->repr);
@@ -84,7 +84,7 @@ bool UpperWheelComponent::on_message(const sim::Message& m) {
 }
 
 bool UpperWheelComponent::on_rdeliver(const sim::Message& m) {
-  const auto* mv = dynamic_cast<const LMoveMsg*>(&m);
+  const auto* mv = sim::msg_cast<LMoveMsg>(m);
   if (mv == nullptr) return false;
   ++pending_[key(mv->inner, mv->outer)];
   drain();

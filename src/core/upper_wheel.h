@@ -33,7 +33,7 @@
 
 namespace saf::core {
 
-struct InquiryMsg final : sim::Message {
+struct InquiryMsg final : sim::MessageOf<InquiryMsg> {
   explicit InquiryMsg(std::uint64_t a) : attempt(a) {}
   std::string_view tag() const override { return "inquiry"; }
   void digest_into(sim::StateDigest& d) const override {
@@ -43,7 +43,7 @@ struct InquiryMsg final : sim::Message {
   std::uint64_t attempt;
 };
 
-struct ResponseMsg final : sim::Message {
+struct ResponseMsg final : sim::MessageOf<ResponseMsg> {
   ResponseMsg(std::uint64_t a, ProcessId r) : attempt(a), repr(r) {}
   std::string_view tag() const override { return "response"; }
   void digest_into(sim::StateDigest& d) const override {
@@ -55,7 +55,7 @@ struct ResponseMsg final : sim::Message {
   ProcessId repr;
 };
 
-struct LMoveMsg final : sim::Message {
+struct LMoveMsg final : sim::MessageOf<LMoveMsg> {
   LMoveMsg(ProcSet l, ProcSet y) : inner(l), outer(y) {}
   std::string_view tag() const override { return "l_move"; }
   void digest_into(sim::StateDigest& d) const override {

@@ -101,7 +101,11 @@ struct Reader {
 }  // namespace
 
 bool encode_message(const sim::Message& m, std::vector<std::uint8_t>* out) {
-  if (const auto* p1 = dynamic_cast<const core::Phase1Msg*>(&m)) {
+  // One kind() call, then a lookup: each branch's exact-type match makes
+  // its downcast safe.
+  const sim::MessageKind kind = m.kind();
+  if (kind == sim::kind_of<core::Phase1Msg>()) {
+    const auto* p1 = static_cast<const core::Phase1Msg*>(&m);
     out->push_back(kPhase1);
     put_i32(out, p1->sender);
     put_i32(out, p1->round);
@@ -110,7 +114,8 @@ bool encode_message(const sim::Message& m, std::vector<std::uint8_t>* out) {
     put_i32(out, p1->instance);
     return true;
   }
-  if (const auto* p2 = dynamic_cast<const core::Phase2Msg*>(&m)) {
+  if (kind == sim::kind_of<core::Phase2Msg>()) {
+    const auto* p2 = static_cast<const core::Phase2Msg*>(&m);
     out->push_back(kPhase2);
     put_i32(out, p2->sender);
     put_i32(out, p2->round);
@@ -118,48 +123,55 @@ bool encode_message(const sim::Message& m, std::vector<std::uint8_t>* out) {
     put_i32(out, p2->instance);
     return true;
   }
-  if (const auto* d = dynamic_cast<const core::DecisionMsg*>(&m)) {
+  if (kind == sim::kind_of<core::DecisionMsg>()) {
+    const auto* d = static_cast<const core::DecisionMsg*>(&m);
     out->push_back(kDecision);
     put_i32(out, d->sender);
     put_i64(out, d->value);
     put_i32(out, d->instance);
     return true;
   }
-  if (const auto* env = dynamic_cast<const sim::RbEnvelope*>(&m)) {
+  if (kind == sim::kind_of<sim::RbEnvelope>()) {
+    const auto* env = static_cast<const sim::RbEnvelope*>(&m);
     out->push_back(kRbEnvelope);
     put_i32(out, env->sender);  // transport-level sender (origin/forwarder)
     put_i32(out, env->origin);
     put_u64(out, env->origin_seq);
     return env->inner != nullptr && encode_message(*env->inner, out);
   }
-  if (const auto* ack = dynamic_cast<const sim::RbAckMsg*>(&m)) {
+  if (kind == sim::kind_of<sim::RbAckMsg>()) {
+    const auto* ack = static_cast<const sim::RbAckMsg*>(&m);
     out->push_back(kRbAck);
     put_i32(out, ack->sender);
     put_i32(out, ack->origin);
     put_u64(out, ack->origin_seq);
     return true;
   }
-  if (const auto* x = dynamic_cast<const core::XMoveMsg*>(&m)) {
+  if (kind == sim::kind_of<core::XMoveMsg>()) {
+    const auto* x = static_cast<const core::XMoveMsg*>(&m);
     out->push_back(kXMove);
     put_i32(out, x->sender);
     put_i32(out, x->leader);
     put_procset(out, x->set);
     return true;
   }
-  if (const auto* q = dynamic_cast<const core::InquiryMsg*>(&m)) {
+  if (kind == sim::kind_of<core::InquiryMsg>()) {
+    const auto* q = static_cast<const core::InquiryMsg*>(&m);
     out->push_back(kInquiry);
     put_i32(out, q->sender);
     put_u64(out, q->attempt);
     return true;
   }
-  if (const auto* r = dynamic_cast<const core::ResponseMsg*>(&m)) {
+  if (kind == sim::kind_of<core::ResponseMsg>()) {
+    const auto* r = static_cast<const core::ResponseMsg*>(&m);
     out->push_back(kResponse);
     put_i32(out, r->sender);
     put_u64(out, r->attempt);
     put_i32(out, r->repr);
     return true;
   }
-  if (const auto* l = dynamic_cast<const core::LMoveMsg*>(&m)) {
+  if (kind == sim::kind_of<core::LMoveMsg>()) {
+    const auto* l = static_cast<const core::LMoveMsg*>(&m);
     out->push_back(kLMove);
     put_i32(out, l->sender);
     put_procset(out, l->inner);

@@ -30,7 +30,7 @@ constexpr std::size_t kMaxHeldFrames = 128;
 /// Stand-in payload handed to the LinkFaultHook for each frame
 /// transmission attempt: at this layer the content is opaque bytes, so
 /// the hook sees one fixed tag and nothing corruptible.
-struct RawDatagram final : sim::Message {
+struct RawDatagram final : sim::MessageOf<RawDatagram> {
   std::string_view tag() const override { return "udp"; }
 };
 const RawDatagram kRawDatagram{};

@@ -1,6 +1,7 @@
 // Message base type for protocol payloads.
 //
-// Protocols define their own message structs derived from Message.
+// Protocols define their own message structs, each `final` and derived
+// from MessageOf<itself>, and dispatch on them with msg_cast.
 // Messages are immutable after sending and owned by the simulator's
 // message arena: a send bump-allocates the payload once, every recipient
 // of a broadcast shares the same object, and nothing is reference-counted
@@ -34,6 +35,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <type_traits>
 
 #include "sim/state_digest.h"
 #include "util/arena.h"
@@ -49,8 +51,16 @@ namespace saf::sim {
 /// before the simulator is destroyed).
 inline constexpr std::uint32_t kPermanentGeneration = UINT32_MAX;
 
+/// Identity of one concrete message type: the address of a per-type
+/// anchor (see MessageOf). Opaque; compare for equality only.
+using MessageKind = const void*;
+
 struct Message : util::ArenaStamped {
   virtual ~Message() = default;
+
+  /// Exact-type kind, for msg_cast. A type derived from MessageOf<T>
+  /// returns T's kind; a type derived from Message directly has none.
+  virtual MessageKind kind() const { return nullptr; }
 
   /// The oldest arena generation this message's storage or payload
   /// reaches: its own stamp, lowered by any arena message it points to.
@@ -81,5 +91,33 @@ struct Message : util::ArenaStamped {
   /// Filled in at send time.
   ProcessId sender = -1;
 };
+
+/// Base of a concrete message type T (CRTP): `struct M final :
+/// MessageOf<M>`. It adds no data, so the header stays 16 bytes; its
+/// only member is T's kind, the address of an anchor that exists once
+/// per type. There is no central list of kinds, so each layer names its
+/// own messages.
+template <class T>
+struct MessageOf : Message {
+  MessageKind kind() const final { return &kAnchor; }
+
+  static constexpr char kAnchor = 0;
+};
+
+/// The kind of message type T, as returned by T's kind().
+template <class T>
+constexpr MessageKind kind_of() {
+  static_assert(std::is_final_v<T> && std::is_base_of_v<MessageOf<T>, T>,
+                "kind_of<T>: T must be a final MessageOf<T>");
+  return &MessageOf<T>::kAnchor;
+}
+
+/// The message dispatch cast: `m` as a T if m's concrete type is T,
+/// else nullptr. One virtual call and one compare; because T is final,
+/// an exact-type match answers what an RTTI cast to T would.
+template <class T>
+const T* msg_cast(const Message& m) {
+  return m.kind() == kind_of<T>() ? static_cast<const T*>(&m) : nullptr;
+}
 
 }  // namespace saf::sim

@@ -137,7 +137,7 @@ void RbLayer::digest(StateDigest& d) const {
 
 bool RbLayer::intercept(const Message& m) {
   if (acks_enabled_) {
-    if (const auto* ack = dynamic_cast<const RbAckMsg*>(&m)) {
+    if (const auto* ack = msg_cast<RbAckMsg>(m)) {
       const std::uint64_t key = key_of(ack->origin, ack->origin_seq);
       auto it = pending_.find(key);
       if (it != pending_.end()) {
@@ -147,7 +147,7 @@ bool RbLayer::intercept(const Message& m) {
       return true;
     }
   }
-  const auto* env = dynamic_cast<const RbEnvelope*>(&m);
+  const auto* env = msg_cast<RbEnvelope>(m);
   if (env == nullptr) return false;
   if (acks_enabled_) {
     // Ack EVERY copy received (duplicates included): the copy's

@@ -35,7 +35,7 @@ namespace saf::sim {
 
 class Process;
 
-struct RbEnvelope final : Message {
+struct RbEnvelope final : MessageOf<RbEnvelope> {
   /// Accounting uses the payload's tag: an x_move relayed by the RB layer
   /// still counts as x_move traffic (that is what the paper's quiescence
   /// argument is about).
@@ -66,7 +66,7 @@ struct RbEnvelope final : Message {
 
 /// Acknowledges receipt of one envelope copy to its transport-level
 /// sender (origin or forwarder), naming the envelope by identity.
-struct RbAckMsg final : Message {
+struct RbAckMsg final : MessageOf<RbAckMsg> {
   std::string_view tag() const override { return "rb_ack"; }
 
   void digest_into(StateDigest& d) const override {

@@ -15,13 +15,20 @@ Simulator::Simulator(SimConfig cfg, CrashPlan plan,
       pattern_(cfg.n, cfg.t, plan_),
       rng_(util::derive_seed(cfg.seed, "simulator")),
       crashed_(static_cast<std::size_t>(cfg.n), false),
-      sends_by_(static_cast<std::size_t>(cfg.n), 0) {
+      sends_by_(static_cast<std::size_t>(cfg.n), 0),
+      send_triggers_(static_cast<std::size_t>(cfg.n)) {
   util::require(cfg.n >= 1 && cfg.n <= kMaxProcs, "SimConfig: n out of range");
   util::require(cfg.tick_period >= 1, "SimConfig: tick_period must be >= 1");
   util::require(cfg.horizon >= 1, "SimConfig: horizon must be >= 1");
   network_ = std::make_unique<Network>(
       *this, std::move(delays), util::Rng(util::derive_seed(cfg.seed, "network")));
   network_->set_batched_broadcasts(cfg.batched_broadcasts);
+  for (const CrashEntry& e : plan_.entries()) {
+    if (!e.send_trigger) continue;
+    SendTrigger& st = send_triggers_[static_cast<std::size_t>(e.pid)];
+    st.first = std::min(st.first, *e.send_trigger);
+    st.last = std::max(st.last, *e.send_trigger);
+  }
   gens_[1].set_generation(1);
   permanent_.set_generation(kPermanentGeneration);
 }
@@ -123,13 +130,9 @@ void Simulator::crash(ProcessId pid) {
 }
 
 void Simulator::note_sends(ProcessId sender, std::uint64_t count) {
-  sends_by_[static_cast<std::size_t>(sender)] += count;
-  for (const CrashEntry& e : plan_.entries()) {
-    if (e.pid == sender && e.send_trigger &&
-        sends_by_[static_cast<std::size_t>(sender)] >= *e.send_trigger) {
-      crash(sender);
-    }
-  }
+  const auto s = static_cast<std::size_t>(sender);
+  sends_by_[s] += count;
+  if (sends_by_[s] >= send_triggers_[s].first) crash(sender);
 }
 
 void Simulator::set_delivery_observer(DeliveryObserver obs) {
@@ -146,14 +149,8 @@ void Simulator::set_race_chooser(RaceChooser chooser) {
 }
 
 bool Simulator::pending_send_trigger(ProcessId pid) const {
-  if (crashed_[static_cast<std::size_t>(pid)]) return false;
-  for (const CrashEntry& e : plan_.entries()) {
-    if (e.pid == pid && e.send_trigger &&
-        sends_by_[static_cast<std::size_t>(pid)] < *e.send_trigger) {
-      return true;
-    }
-  }
-  return false;
+  const auto p = static_cast<std::size_t>(pid);
+  return !crashed_[p] && sends_by_[p] < send_triggers_[p].last;
 }
 
 void Simulator::state_digest(StateDigest& d) const {

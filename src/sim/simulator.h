@@ -266,6 +266,15 @@ class Simulator {
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<bool> crashed_;
   std::vector<std::uint64_t> sends_by_;
+  /// Per process, the least and the greatest send count among its
+  /// plan's send triggers (none: first = UINT64_MAX, last = 0). The
+  /// process crashes once its sends reach `first`; a trigger is pending
+  /// while its sends are below `last`.
+  struct SendTrigger {
+    std::uint64_t first = UINT64_MAX;
+    std::uint64_t last = 0;
+  };
+  std::vector<SendTrigger> send_triggers_;
   DeliveryObserver delivery_observer_;
   RaceChooser race_chooser_;
   trace::Tracer tracer_;

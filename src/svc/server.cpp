@@ -85,15 +85,15 @@ class ServiceProcess final : public sim::Process {
   void boot() override { spawn(driver()); }
 
   void on_message(const sim::Message& m) override {
-    if (const auto* p1 = dynamic_cast<const core::Phase1Msg*>(&m)) {
+    if (const auto* p1 = sim::msg_cast<core::Phase1Msg>(m)) {
       route(p1->instance, *p1);
-    } else if (const auto* p2 = dynamic_cast<const core::Phase2Msg*>(&m)) {
+    } else if (const auto* p2 = sim::msg_cast<core::Phase2Msg>(m)) {
       route(p2->instance, *p2);
     }
   }
 
   void on_rdeliver(const sim::Message& m) override {
-    const auto* d = dynamic_cast<const core::DecisionMsg*>(&m);
+    const auto* d = sim::msg_cast<core::DecisionMsg>(m);
     if (d != nullptr && d->instance >= 0) {
       record(d->instance, d->value, /*from_snapshot=*/false);
     }

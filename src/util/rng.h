@@ -6,6 +6,7 @@
 // consumer of randomness in one component never perturbs another.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -32,18 +33,34 @@ std::int64_t uniform_in(Engine& engine, std::int64_t lo, std::int64_t hi) {
 }
 
 /// A uniformly random subset of `universe` of exactly `k` elements,
-/// drawn from `engine` by a partial Fisher-Yates shuffle.
+/// drawn from `engine` by a partial Fisher-Yates shuffle of the
+/// universe's ids in increasing order. The id array stays virtual: a
+/// position holds universe.nth(position) until a swap writes it, each
+/// step writes one position, so at most k (position, id) writes stand in
+/// for the array: a draw costs k nth() lookups and O(k^2) list steps, not
+/// O(n).
 template <typename Engine>
 ProcSet subset_of(Engine& engine, ProcSet universe, int k) {
-  SAF_CHECK(k >= 0 && k <= universe.size());
-  std::vector<ProcessId> ids = universe.to_vector();
+  const int size = universe.size();
+  SAF_CHECK(k >= 0 && k <= size);
+  std::array<int, kMaxProcs> pos;  // the writes, oldest first
+  std::array<ProcessId, kMaxProcs> val;
+  int writes = 0;
+  const auto at = [&](int p) {
+    for (int w = writes; w-- > 0;) {
+      if (pos[w] == p) return val[w];
+    }
+    return universe.nth(p);
+  };
   ProcSet out;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(k); ++i) {
-    const auto j = i + static_cast<std::size_t>(uniform_in(
-                           engine, 0,
-                           static_cast<std::int64_t>(ids.size() - i) - 1));
-    std::swap(ids[i], ids[j]);
-    out.insert(ids[i]);
+  for (int i = 0; i < k; ++i) {
+    const int j = i + static_cast<int>(uniform_in(engine, 0, size - i - 1));
+    // Swap positions i and j; position i is never read again.
+    const ProcessId picked = at(j);
+    pos[writes] = j;
+    val[writes] = at(i);
+    ++writes;
+    out.insert(picked);
   }
   return out;
 }

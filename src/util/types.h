@@ -257,6 +257,21 @@ class ProcSet {
     return -1;
   }
 
+  /// The member of rank `rank` in increasing id order (0 is min());
+  /// -1 if the set has at most `rank` members.
+  constexpr ProcessId nth(int rank) const {
+    for (int i = 0; i < top_; ++i) {
+      std::uint64_t w = w_[i];
+      const int c = std::popcount(w);
+      if (rank < c) {
+        for (; rank > 0; --rank) w &= w - 1;  // drop the lowest members
+        return 64 * i + std::countr_zero(w);
+      }
+      rank -= c;
+    }
+    return -1;
+  }
+
   std::vector<ProcessId> to_vector() const {
     std::vector<ProcessId> out;
     out.reserve(static_cast<std::size_t>(size()));

@@ -2,8 +2,10 @@
 // step traces, and summary statistics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "util/combinatorics.h"
@@ -70,6 +72,63 @@ TEST(Rng, SubsetHasRequestedSizeAndStaysInUniverse) {
     const ProcSet s = rng.subset(universe, k);
     EXPECT_EQ(s.size(), k);
     EXPECT_TRUE(s.subset_of(universe));
+  }
+}
+
+TEST(ProcSet, NthIsTheRankInIncreasingOrder) {
+  util::Rng rng(5);
+  for (int trial = 0; trial < 200; ++trial) {
+    ProcSet s;
+    const int members = static_cast<int>(rng.uniform(0, 40));
+    for (int m = 0; m < members; ++m) {
+      s.insert(static_cast<ProcessId>(rng.uniform(0, kMaxProcs - 1)));
+    }
+    const std::vector<ProcessId> ids = s.to_vector();
+    for (int r = 0; r < static_cast<int>(ids.size()); ++r) {
+      ASSERT_EQ(s.nth(r), ids[static_cast<std::size_t>(r)]);
+    }
+    EXPECT_EQ(s.nth(static_cast<int>(ids.size())), -1);
+  }
+}
+
+/// The draw as subset_of made it with the id array built in full.
+ProcSet reference_subset(std::mt19937_64& engine, ProcSet universe, int k) {
+  std::vector<ProcessId> ids = universe.to_vector();
+  ProcSet out;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(k); ++i) {
+    const auto j = i + static_cast<std::size_t>(util::uniform_in(
+                           engine, 0,
+                           static_cast<std::int64_t>(ids.size() - i) - 1));
+    std::swap(ids[i], ids[j]);
+    out.insert(ids[i]);
+  }
+  return out;
+}
+
+TEST(Rng, SubsetDrawsEqualTheFullArrayShuffle) {
+  // Dense and sparse universes, one word and many; k from 0 to the whole
+  // universe; consecutive draws from one engine, so any divergence in the
+  // words consumed would also show in the next draw.
+  util::Rng pick(17);
+  std::vector<ProcSet> universes{ProcSet::full(1), ProcSet::full(4),
+                                 ProcSet::full(64), ProcSet::full(kMaxProcs)};
+  for (int u = 0; u < 6; ++u) {
+    universes.push_back(pick.subset(ProcSet::full(kMaxProcs), 3 + 40 * u));
+  }
+  for (const ProcSet& universe : universes) {
+    const int size = universe.size();
+    for (const int k : {0, 1, 2, 3, size / 2, size - 1, size}) {
+      if (k < 0 || k > size) continue;
+      for (const std::uint64_t seed : {1ULL, 99ULL, 0xfeedULL}) {
+        std::mt19937_64 a(seed), b(seed);
+        for (int draw = 0; draw < 3; ++draw) {
+          ASSERT_EQ(util::subset_of(a, universe, k),
+                    reference_subset(b, universe, k))
+              << "size=" << size << " k=" << k << " seed=" << seed
+              << " draw=" << draw;
+        }
+      }
+    }
   }
 }
 
