@@ -8,6 +8,10 @@
 //   * depth reach: the deepest race depth each variant exhausts within
 //     --budget-ms of wall clock.
 //
+// Every search replays on all cores (DfsOptions::jobs 0); the JSON
+// records how many. The explored trees, and so the run counts, do not
+// depend on it; the runs/sec and the depth reach do.
+//
 // Writes the BENCH_dfs.json baseline checked in at the repo root; with
 // --baseline FILE [--tolerance F] it additionally gates the *_per_sec
 // metrics via sweep::compare_benchmarks, exactly like the other perf
@@ -29,6 +33,7 @@
 #include "check/dfs.h"
 #include "check/protocols.h"
 #include "sweep/bench_json.h"
+#include "sweep/thread_pool.h"
 
 namespace {
 
@@ -183,6 +188,7 @@ int main(int argc, char** argv) {
   w.key("schema").value("saf-bench-dfs-v1");
   w.key("protocol").value(protocol);
   w.key("mode").value("race");
+  w.key("jobs").value(saf::sweep::ThreadPool::default_jobs());
   w.key("equal_depth");
   w.begin_object();
   w.key("depth").value(depth);

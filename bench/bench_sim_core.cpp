@@ -400,11 +400,14 @@ BENCHMARK(BM_OmegaAnarchyTrusted)->Arg(4)->Arg(1024);
 
 /// One reduced DFS search of kset-small (dispatch order, state hashing,
 /// symmetry and partial-order reduction, as in the dfs-kset workload)
-/// exhausted to the given depth. items_per_second is replays per second.
+/// exhausted to the given depth on the given number of replay threads
+/// (0 = every core). items_per_second is replays per second: at jobs 1
+/// it is the cost of one replay, at jobs 0 the parallel speed-up too.
 void BM_DfsKsetSmallSearch(benchmark::State& state) {
   const check::Protocol* p = check::find_protocol("kset-small");
   check::DfsOptions opt;
   opt.depth = static_cast<int>(state.range(0));
+  opt.jobs = static_cast<int>(state.range(1));
   opt.mode = check::DfsMode::kDispatchOrder;
   opt.state_hash = true;
   opt.symmetry = true;
@@ -422,7 +425,12 @@ void BM_DfsKsetSmallSearch(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(runs));
 }
-BENCHMARK(BM_DfsKsetSmallSearch)->Arg(3)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DfsKsetSmallSearch)
+    ->ArgNames({"depth", "jobs"})
+    ->Args({3, 1})
+    ->Args({3, 0})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

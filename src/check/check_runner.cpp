@@ -3,7 +3,7 @@
 //   check_runner --seeds 1000                          # sweep all protocols
 //   check_runner --protocol kset,two-wheels --seeds 500 --jobs 4
 //   check_runner --protocol kset --seeds 1000 --shrink --record out
-//   check_runner --protocol kset-small --dfs --dfs-depth 10
+//   check_runner --protocol kset-small --dfs --dfs-depth 10 --jobs 4
 //   check_runner --replay out-kset-42.trace
 //   check_runner --seeds 200 --trace bug         # structured trace per violation
 //   check_runner --seeds 50 --metrics m.json     # per-protocol run metrics
@@ -74,6 +74,8 @@ void print_usage(std::ostream& os) {
       "                    [--faults PROFILE|SPEC] [--max-events N]\n"
       "                    [--wall-budget-ms N]\n"
       "                    [--replay FILE] [--list] [--help]\n"
+      "--jobs N: worker threads (default: every core) for the seed sweep\n"
+      "  and for --dfs replays; the output is the same for every N\n"
       "fault profiles:";
   for (const auto name : saf::fault::profile_names()) os << " " << name;
   os << "\n(or an inline spec, e.g. \"drop=0.3,dup=0.1,flap@400/60\")\n";
@@ -373,6 +375,7 @@ int main(int argc, char** argv) {
       opt.symmetry = args.dfs_symmetry;
       opt.por = args.dfs_por;
       opt.wall_budget_ms = args.wall_budget_ms;
+      opt.jobs = args.jobs;
       const DfsReport report = explore_interleavings(*p, ScheduleCase{}, opt);
       std::cout << "[" << name << "] dfs depth=" << args.dfs_depth << ": "
                 << report.runs << " runs"

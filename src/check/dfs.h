@@ -15,7 +15,10 @@
 //
 // The explorer walks the choice tree depth-first with a replaying
 // odometer over the choice stack, running the full simulation at every
-// leaf and evaluating the protocol's invariants. Three reductions
+// leaf and evaluating the protocol's invariants. A replay is a pure
+// function of its choice prefix, so replays the odometer is certain to
+// need run ahead on worker threads and are committed in serial DFS
+// order: the report does not depend on DfsOptions::jobs. Three reductions
 // prune the walk without changing the verdict or the set of distinct
 // terminal decisions (tests/test_dfs_reduction.cpp pins this
 // differentially; docs/exhaustive_checking.md has the soundness
@@ -74,6 +77,10 @@ struct DfsOptions {
   /// unlimited). When it binds, `exhausted` stays false. NOT
   /// deterministic — use max_runs for reproducible truncation.
   std::int64_t wall_budget_ms = 0;
+  /// Threads replaying the choice tree (sweep::ThreadPool); 0 picks
+  /// ThreadPool::default_jobs(). Every field of the report except
+  /// stats.wall_ms and stats.runs_per_sec is the same for every value.
+  int jobs = 0;
 };
 
 /// Reduction-effectiveness counters for one search (the --dfs-stats

@@ -1,6 +1,7 @@
 #include "check/protocols.h"
 
 #include <algorithm>
+#include <deque>
 #include <sstream>
 #include <utility>
 
@@ -310,9 +311,11 @@ std::vector<std::uint64_t> kset_sym_signatures(const KSetProtocolSpec& spec,
 
 // --- registry ----------------------------------------------------------
 
-std::vector<Protocol>& registry() {
-  static std::vector<Protocol> protocols = [] {
-    std::vector<Protocol> p;
+// A deque, not a vector: find_protocol hands out pointers that a later
+// register_protocol must not invalidate.
+std::deque<Protocol>& registry() {
+  static std::deque<Protocol> protocols = [] {
+    std::deque<Protocol> p;
     KSetProtocolSpec kset;
     kset.name = "kset";
     kset.n = 7;

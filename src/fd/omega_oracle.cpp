@@ -40,13 +40,14 @@ ProcSet OmegaZOracle::trusted(ProcessId i, Time now) const {
   }
   // Anarchy: deterministic pseudo-random set of size in [1, z] varying
   // with (i, now). A query draws about z + 1 words, so the prefix engine
-  // spares the full mt19937_64 seeding and twist (same stream).
+  // spares the full mt19937_64 seeding and twist (same stream), and the
+  // subset is drawn from the ids 0..n-1 by rank, never materialized.
   std::uint64_t h = util::derive_seed(params_.seed ^ 0xa5a5a5a5ULL,
                                       static_cast<std::uint64_t>(now));
   h = util::derive_seed(h, static_cast<std::uint64_t>(i));
   util::Mt64Prefix eng(h);
   const int size = static_cast<int>(util::uniform_in(eng, 1, z_));
-  return util::subset_of(eng, ProcSet::full(pattern_.n()), size);
+  return util::subset_of_first(eng, pattern_.n(), size);
 }
 
 }  // namespace saf::fd

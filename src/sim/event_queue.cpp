@@ -26,7 +26,7 @@ void EventQueue::push(Event e) {
   ++size_;
   if (e.time < window_base_ + static_cast<Time>(kWindow)) {
     if (e.time < cursor_) cursor_ = e.time;  // re-arm a drained instant
-    bucket_at(e.time).events.push_back(std::move(e));
+    append(bucket_at(e.time), std::move(e));
   } else {
     overflow_.push_back(std::move(e));
     std::push_heap(overflow_.begin(), overflow_.end(), PopsLater{});
@@ -79,9 +79,14 @@ void EventQueue::advance_to_min() {
     while (cursor_ < window_base_ + static_cast<Time>(kWindow)) {
       Bucket& b = bucket_at(cursor_);
       if (b.head < b.events.size()) return;
-      // Fully drained: recycle the bucket (capacity retained) so the
-      // slot is clean when the window wraps back onto it.
+      // Fully drained: a small vector goes to the next instant that
+      // gets an event, so a short run holds about as many as it has
+      // pending instants, not one per instant it has seen; a large one
+      // stays for when the window wraps back onto the slot.
       b.events.clear();
+      if (b.events.capacity() > 0 && b.events.capacity() <= kSpareCap) {
+        spare_.emplace_back().swap(b.events);
+      }
       b.head = 0;
       ++cursor_;
     }
@@ -95,6 +100,14 @@ void EventQueue::advance_to_min() {
   }
 }
 
+void EventQueue::append(Bucket& b, Event e) {
+  if (b.events.capacity() == 0 && !spare_.empty()) {
+    b.events.swap(spare_.back());
+    spare_.pop_back();
+  }
+  b.events.push_back(std::move(e));
+}
+
 void EventQueue::migrate_overflow() {
   const Time window_end = window_base_ + static_cast<Time>(kWindow);
   // pop_heap yields ascending (time, seq), so per-bucket appends keep
@@ -103,7 +116,7 @@ void EventQueue::migrate_overflow() {
     std::pop_heap(overflow_.begin(), overflow_.end(), PopsLater{});
     Event e = std::move(overflow_.back());
     overflow_.pop_back();
-    bucket_at(e.time).events.push_back(std::move(e));
+    append(bucket_at(e.time), std::move(e));
   }
 }
 

@@ -110,6 +110,8 @@ class EventQueue {
   // costs idle-bucket scan time and resident vector headers.
   static constexpr std::size_t kWindow = 1024;
   static constexpr Time kMask = static_cast<Time>(kWindow - 1);
+  /// Drained buckets of at most this capacity hand their storage on.
+  static constexpr std::size_t kSpareCap = 64;
 
   struct Bucket {
     std::vector<Event> events;
@@ -122,6 +124,9 @@ class EventQueue {
   /// Positions cursor_ on the instant holding the minimum event,
   /// advancing the window / draining overflow as needed.
   void advance_to_min();
+  /// Appends to a bucket, reusing a drained bucket's storage if it has
+  /// none.
+  void append(Bucket& b, Event e);
   /// Moves overflow events inside the current window into the ring.
   void migrate_overflow();
   /// Cold path: a push landed before the current window (legal after a
@@ -130,6 +135,7 @@ class EventQueue {
 
   std::vector<Bucket> ring_;
   std::vector<Event> overflow_;  ///< min-heap on (time, seq)
+  std::vector<std::vector<Event>> spare_;  ///< drained buckets' storage
   Time window_base_ = 0;  ///< ring covers [window_base_, window_base_+kWindow)
   Time cursor_ = 0;       ///< next instant to drain; >= window_base_
   std::size_t size_ = 0;

@@ -1,5 +1,7 @@
 #include "util/arena.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -34,7 +36,9 @@ void* Arena::allocate(std::size_t size, std::size_t align) {
   if (size == 0) size = 1;
   // Advance through retained chunks until one fits. Chunks are sized
   // kChunkSize (or the request, for oversized objects), so the scan is
-  // at most one step in the steady state.
+  // at most one step in the steady state. The first chunk is half that:
+  // a short simulation (one DFS replay uses about 28 KB) then holds no
+  // mostly idle 64 KB block.
   while (active_ < chunks_.size()) {
     Chunk& c = chunks_[active_];
     const auto base = reinterpret_cast<std::uintptr_t>(c.data.get());
@@ -47,8 +51,8 @@ void* Arena::allocate(std::size_t size, std::size_t align) {
     }
     ++active_;
   }
-  const std::size_t chunk_size = size + align > kChunkSize ? size + align
-                                                           : kChunkSize;
+  const std::size_t grown = chunks_.empty() ? kChunkSize / 2 : kChunkSize;
+  const std::size_t chunk_size = std::max(size + align, grown);
   chunks_.push_back(
       Chunk{std::make_unique<std::byte[]>(chunk_size), chunk_size, 0});
   active_ = chunks_.size() - 1;

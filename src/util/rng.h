@@ -32,16 +32,12 @@ std::int64_t uniform_in(Engine& engine, std::int64_t lo, std::int64_t hi) {
   return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine);
 }
 
-/// A uniformly random subset of `universe` of exactly `k` elements,
-/// drawn from `engine` by a partial Fisher-Yates shuffle of the
-/// universe's ids in increasing order. The id array stays virtual: a
-/// position holds universe.nth(position) until a swap writes it, each
-/// step writes one position, so at most k (position, id) writes stand in
-/// for the array: a draw costs k nth() lookups and O(k^2) list steps, not
-/// O(n).
-template <typename Engine>
-ProcSet subset_of(Engine& engine, ProcSet universe, int k) {
-  const int size = universe.size();
+namespace detail {
+
+/// The partial Fisher-Yates shuffle behind subset_of: `id_at(p)` is the
+/// id at position p of the virtual array of `size` ids.
+template <typename Engine, typename IdAt>
+ProcSet subset_by_rank(Engine& engine, int size, int k, IdAt id_at) {
   SAF_CHECK(k >= 0 && k <= size);
   std::array<int, kMaxProcs> pos;  // the writes, oldest first
   std::array<ProcessId, kMaxProcs> val;
@@ -50,7 +46,7 @@ ProcSet subset_of(Engine& engine, ProcSet universe, int k) {
     for (int w = writes; w-- > 0;) {
       if (pos[w] == p) return val[w];
     }
-    return universe.nth(p);
+    return id_at(p);
   };
   ProcSet out;
   for (int i = 0; i < k; ++i) {
@@ -63,6 +59,31 @@ ProcSet subset_of(Engine& engine, ProcSet universe, int k) {
     out.insert(picked);
   }
   return out;
+}
+
+}  // namespace detail
+
+/// A uniformly random subset of `universe` of exactly `k` elements,
+/// drawn from `engine` by a partial Fisher-Yates shuffle of the
+/// universe's ids in increasing order. The id array stays virtual: a
+/// position holds universe.nth(position) until a swap writes it, each
+/// step writes one position, so at most k (position, id) writes stand in
+/// for the array: a draw costs k nth() lookups and O(k^2) list steps, not
+/// O(n).
+template <typename Engine>
+ProcSet subset_of(Engine& engine, const ProcSet& universe, int k) {
+  return detail::subset_by_rank(
+      engine, universe.size(), k,
+      [&universe](int rank) { return universe.nth(rank); });
+}
+
+/// subset_of(engine, ProcSet::full(n), k), draw for draw, without
+/// building or scanning the universe: the id of rank p is p, so the
+/// cost does not grow with n.
+template <typename Engine>
+ProcSet subset_of_first(Engine& engine, int n, int k) {
+  return detail::subset_by_rank(
+      engine, n, k, [](int rank) { return static_cast<ProcessId>(rank); });
 }
 
 /// Exactly the stream of std::mt19937_64(seed), for streams that draw a

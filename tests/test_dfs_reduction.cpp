@@ -22,7 +22,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -409,6 +411,158 @@ TEST(DfsReductionRace, InjectedBugStillCaughtUnderFullReduction) {
   // The bug is schedule-independent, so the reduction must flag every
   // run it does explore, not merely one of them.
   EXPECT_EQ(report.violations.size(), report.runs);
+}
+
+// --- jobs invariance ---------------------------------------------------
+//
+// Replays run ahead on worker threads but are committed in serial DFS
+// order, so the whole report — every counter, the violation order, the
+// truncation point — must not depend on DfsOptions::jobs. Only the
+// wall-clock fields may differ.
+
+/// Every field of two reports except stats.wall_ms and
+/// stats.runs_per_sec.
+void expect_same_report(const DfsReport& a, const DfsReport& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.runs, b.runs) << label;
+  EXPECT_EQ(a.exhausted, b.exhausted) << label;
+  EXPECT_EQ(a.distinct_digests, b.distinct_digests) << label;
+  EXPECT_EQ(a.decision_sets, b.decision_sets) << label;
+  const DfsStats& x = a.stats;
+  const DfsStats& y = b.stats;
+  EXPECT_EQ(x.choice_points, y.choice_points) << label;
+  EXPECT_EQ(x.race_points, y.race_points) << label;
+  EXPECT_EQ(x.states_hashed, y.states_hashed) << label;
+  EXPECT_EQ(x.distinct_states, y.distinct_states) << label;
+  EXPECT_EQ(x.hash_prunes, y.hash_prunes) << label;
+  EXPECT_EQ(x.sym_canonical_hits, y.sym_canonical_hits) << label;
+  EXPECT_EQ(x.por_points, y.por_points) << label;
+  EXPECT_EQ(x.por_branches_saved, y.por_branches_saved) << label;
+  EXPECT_EQ(x.group_size, y.group_size) << label;
+  EXPECT_EQ(x.max_depth_used, y.max_depth_used) << label;
+  ASSERT_EQ(a.violations.size(), b.violations.size()) << label;
+  for (std::size_t i = 0; i < a.violations.size(); ++i) {
+    const RunOutcome& u = a.violations[i].outcome;
+    const RunOutcome& v = b.violations[i].outcome;
+    EXPECT_EQ(a.violations[i].c.seed, b.violations[i].c.seed) << label;
+    EXPECT_EQ(u.ok, v.ok) << label << " violation " << i;
+    EXPECT_EQ(u.digest, v.digest) << label << " violation " << i;
+    EXPECT_EQ(u.decisions, v.decisions) << label << " violation " << i;
+    EXPECT_EQ(u.events_processed, v.events_processed) << label;
+    EXPECT_EQ(u.total_messages, v.total_messages) << label;
+    ASSERT_EQ(u.violations.size(), v.violations.size()) << label;
+    for (std::size_t j = 0; j < u.violations.size(); ++j) {
+      EXPECT_EQ(u.violations[j].invariant, v.violations[j].invariant);
+      EXPECT_EQ(u.violations[j].detail, v.violations[j].detail);
+    }
+  }
+}
+
+/// Runs the search at jobs 1, 2, 3, 4 and 8 and requires every report
+/// to equal the jobs = 1 one; returns that one.
+DfsReport expect_jobs_invariant(const Protocol& p, DfsOptions opt,
+                                const std::string& label) {
+  opt.jobs = 1;
+  const DfsReport serial = explore_interleavings(p, {}, opt);
+  for (const int jobs : {2, 3, 4, 8}) {
+    opt.jobs = jobs;
+    expect_same_report(serial, explore_interleavings(p, {}, opt),
+                       label + " jobs=" + std::to_string(jobs));
+  }
+  return serial;
+}
+
+TEST(DfsJobsInvariance, KsetSmallAndTwoWheelsSmallFullReduction) {
+  for (const auto& [name, depth] :
+       {std::pair{"kset-small", 5}, {"two-wheels-small", 4}}) {
+    const Protocol* p = find_protocol(name);
+    ASSERT_NE(p, nullptr);
+    const DfsReport r = expect_jobs_invariant(
+        *p, race_opt(depth, true, true, true), name);
+    EXPECT_TRUE(r.exhausted) << name;
+    EXPECT_GT(r.stats.states_hashed, 0u) << name;
+    EXPECT_GT(r.stats.por_points, 0u) << name;
+    // kset-small's race tree never meets a known state; two-wheels-small
+    // does, so its prunes run under speculation too.
+    if (std::string(name) == "two-wheels-small") {
+      EXPECT_GT(r.stats.hash_prunes, 0u);
+    }
+  }
+}
+
+TEST(DfsJobsInvariance, KsetSymSymmetryQuotient) {
+  const Protocol* p = find_protocol("kset-sym");
+  ASSERT_NE(p, nullptr);
+  const DfsReport r =
+      expect_jobs_invariant(*p, race_opt(5, true, true, true), "kset-sym");
+  EXPECT_EQ(r.stats.group_size, 6u);
+  EXPECT_GT(r.stats.sym_canonical_hits, 0u);
+}
+
+TEST(DfsJobsInvariance, MenuModeHashPrunesUnderSpeculation) {
+  // Speculative replays are recorded against an older visited map than
+  // the one they are committed against; the prunes must still fall
+  // exactly where the serial search puts them.
+  const Protocol* p = find_protocol("kset-sym");
+  ASSERT_NE(p, nullptr);
+  const DfsReport r =
+      expect_jobs_invariant(*p, menu_opt(8, true, true), "kset-sym menu");
+  EXPECT_GT(r.stats.hash_prunes, 0u);
+}
+
+TEST(DfsJobsInvariance, MaxRunsTruncatesAtTheSameRun) {
+  const Protocol* p = find_protocol("kset-small");
+  ASSERT_NE(p, nullptr);
+  for (const std::uint64_t cap : {37u, 100u}) {
+    DfsOptions opt = race_opt(5, true, true, true);
+    opt.max_runs = cap;
+    const DfsReport r = expect_jobs_invariant(
+        *p, opt, "kset-small max_runs=" + std::to_string(cap));
+    EXPECT_EQ(r.runs, cap);
+    EXPECT_FALSE(r.exhausted);
+  }
+}
+
+TEST(DfsJobsInvariance, WidenedOmegaMutantReportsTheSameViolations) {
+  for (const bool race : {false, true}) {
+    const DfsReport r = expect_jobs_invariant(
+        hooked_buggy_protocol(),
+        race ? race_opt(3, true, true, true) : menu_opt(4, true, false),
+        race ? "buggy race" : "buggy menu");
+    EXPECT_FALSE(r.clean());
+    EXPECT_EQ(r.violations.size(), r.runs);
+  }
+}
+
+/// kset-tiny, except that the third replay started throws.
+std::atomic<int> throwing_runs{0};
+
+const Protocol& throws_on_third_run() {
+  static const Protocol* p = [] {
+    Protocol q = kset_tiny();
+    q.name = "dfsred-throws-third";
+    q.run = [inner = kset_tiny().run](const ScheduleCase& c,
+                                      const RunContext& ctx) {
+      if (throwing_runs.fetch_add(1) + 1 == 3) {
+        throw std::runtime_error("dfsred: third run");
+      }
+      return inner(c, ctx);
+    };
+    register_protocol(q);
+    return find_protocol("dfsred-throws-third");
+  }();
+  return *p;
+}
+
+TEST(DfsJobsInvariance, AThrowingReplaySurfacesAndStopsTheSearch) {
+  for (const int jobs : {1, 2, 4, 8}) {
+    throwing_runs = 0;
+    DfsOptions opt = race_opt(3, true, true, true);
+    opt.jobs = jobs;
+    EXPECT_THROW(explore_interleavings(throws_on_third_run(), {}, opt),
+                 std::runtime_error)
+        << "jobs=" << jobs;
+  }
 }
 
 // --- canonicalizer property tests --------------------------------------

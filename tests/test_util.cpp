@@ -132,6 +132,25 @@ TEST(Rng, SubsetDrawsEqualTheFullArrayShuffle) {
   }
 }
 
+TEST(Rng, FirstIdsDrawsEqualTheFullUniverseDraws) {
+  // subset_of_first(n) must consume the same words and pick the same ids
+  // as subset_of over ProcSet::full(n), for one word and many.
+  for (const int n : {1, 4, 63, 64, 65, 200, kMaxProcs}) {
+    for (const int k : {0, 1, 2, 3, n / 2, n - 1, n}) {
+      if (k < 0 || k > n) continue;
+      for (const std::uint64_t seed : {1ULL, 99ULL, 0xfeedULL}) {
+        std::mt19937_64 a(seed), b(seed);
+        for (int draw = 0; draw < 3; ++draw) {
+          ASSERT_EQ(util::subset_of_first(a, n, k),
+                    util::subset_of(b, ProcSet::full(n), k))
+              << "n=" << n << " k=" << k << " seed=" << seed
+              << " draw=" << draw;
+        }
+      }
+    }
+  }
+}
+
 TEST(Rng, DerivedSeedsDifferByLabel) {
   EXPECT_NE(util::derive_seed(1, "network"), util::derive_seed(1, "oracle"));
   EXPECT_NE(util::derive_seed(1, "x"), util::derive_seed(2, "x"));
